@@ -15,33 +15,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures
-from .audit import check_identifiers, run_audit
-from .complexes import TriComplex, vertex_link
-from .cosets import Enumeration, Presentation, enumerate_cosets, verify_table
-from .embed import find_embeddings, verify_embedding
-from .garside import check_presentation, conjugation_orbit, equals, normal_form
-from .metric_graph import INFINITY, MetricGraph, format_length
-from .reps import (
-    COMPOSITION_CONVENTION,
-    IDENTITY_2X2,
-    MAT_S,
-    MAT_T,
-    cycle_type,
-    evaluate_matrix,
-    evaluate_permutation,
-    generated_subgroup,
-    mat_inv,
-    mat_mul,
-    mat_neg,
-    modular_assignment,
-    stabilizer_of,
-    strand_assignment,
+from .audit import (
+    certificates_verified,
+    check_identifiers,
+    index_runs,
+    link_girths,
+    matrix_claims,
+    presentation_results,
+    run_audit,
+    strand_claims,
 )
-from .words import ALPHABET_ABC, ALPHABET_ST, ALPHABET_XY, Alphabet, parse
+from .complexes import TriComplex, vertex_link
+from .cosets import Enumeration, Presentation, enumerate_cosets
+from .embed import find_embeddings
+from .garside import conjugation_orbit, normal_form
+from .metric_graph import INFINITY, MetricGraph, format_length
+from .reps import COMPOSITION_CONVENTION
+from .words import ALPHABET_ABC, Alphabet, parse
 
 __all__ = ["main"]
 
@@ -127,8 +120,11 @@ def _load_presentation(name: str) -> Presentation:
     return Presentation(alphabet, relators)
 
 
-def _parse_in(presentation: Presentation, text: str):
-    return parse(text, presentation.alphabet)
+def _load_link(args) -> MetricGraph:
+    try:
+        return vertex_link(_load_complex(args.name), args.vertex)
+    except (KeyError, ValueError) as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _mat_rows(matrix) -> list[list[int]]:
@@ -155,8 +151,8 @@ def _cmd_garside_nf(args) -> int:
 
 def _cmd_garside_eq(args) -> int:
     left, right = parse(args.left, ALPHABET_ABC), parse(args.right, ALPHABET_ABC)
-    same = equals(left, right)
     difference = normal_form(left * right.inverse())
+    same = difference.is_identity
     payload = {
         "left": str(left),
         "right": str(right),
@@ -171,12 +167,9 @@ def _cmd_garside_eq(args) -> int:
 def _cmd_garside_orbit(args) -> int:
     conjugator = fixtures.WORDS.get(args.conjugator) or parse(args.conjugator, ALPHABET_ABC)
     seed = fixtures.WORDS.get(args.seed) or parse(args.seed, ALPHABET_ABC)
-    try:
-        orbit = conjugation_orbit(
-            conjugator, seed, max_steps=args.max_steps, convention=args.convention
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    orbit = conjugation_orbit(
+        conjugator, seed, max_steps=args.max_steps, convention=args.convention
+    )
     payload = {
         "conjugator": str(conjugator),
         "seed": str(seed),
@@ -193,18 +186,17 @@ def _cmd_garside_orbit(args) -> int:
 
 
 def _cmd_garside_audit_presentation(args) -> int:
-    W = fixtures.WORDS
-    results = check_presentation(W["e"], W["f"], W["d"])
+    results = presentation_results()
     payload = {
-        "dictionary": {name: str(W[name]) for name in ("e", "f", "d")},
-        "equalities": {label: ok for label, ok in results},
+        "dictionary": {name: str(fixtures.WORDS[name]) for name in ("e", "f", "d")},
+        "equalities": results,
     }
-    width = max(len(label) for label, _ in results)
+    width = max(len(label) for label in results)
     text = "\n".join(
-        f"{label:<{width}}  {'pass' if ok else 'fail'}" for label, ok in results
+        f"{label:<{width}}  {'pass' if ok else 'fail'}" for label, ok in results.items()
     )
     _emit(payload, text, args.json)
-    return 0 if all(ok for _, ok in results) else 1
+    return 0 if all(results.values()) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +217,18 @@ def _cmd_verify_index(args) -> int:
             raise CliError("need either --fixture or both --group and --subgroup")
         presentation = _load_presentation(args.group)
         subgroup = [
-            _parse_in(presentation, text) for text in args.subgroup.split(",") if text.strip()
+            parse(text, presentation.alphabet) for text in args.subgroup.split(",") if text.strip()
         ]
 
     strategies = ("hlt", "felsch") if args.strategy == "both" else (args.strategy,)
-    runs = {}
-    for strategy in strategies:
-        runs[strategy] = enumerate_cosets(
-            presentation, subgroup, strategy=strategy, cap=args.cap
-        )
+    runs = index_runs(presentation, subgroup, strategies, args.cap)
 
     payload: dict = {"subgroup": [str(w) for w in subgroup]}
     lines = []
     overflow = False
     counts = set()
-    for strategy, result in runs.items():
+    for strategy, (result, verified) in runs.items():
         if isinstance(result, Enumeration):
-            verified = all(ok for _, ok in verify_table(result, presentation, subgroup))
             entry = result.to_json_dict()
             entry["verified"] = verified
             payload[strategy] = entry
@@ -271,32 +258,19 @@ def _cmd_verify_index(args) -> int:
 
 
 def _cmd_verify_pi(args) -> int:
-    assignment = modular_assignment()
-    presentation = fixtures.g0_presentation()
-    relator_report = []
-    for relator in presentation.relators:
-        image = evaluate_matrix(relator, assignment)
-        relator_report.append(
-            {"relator": str(relator), "image": _mat_rows(image), "identity": image == IDENTITY_2X2}
-        )
-    st = {"S": MAT_S, "T": MAT_T}
-    s4 = evaluate_matrix(parse("S^4", ALPHABET_ST), st)
-    st_cubed = evaluate_matrix(parse("S T S T S T", ALPHABET_ST), st)
-    s_squared = mat_mul(MAT_S, MAT_S)
-    minus_st = mat_neg(mat_mul(MAT_S, MAT_T))
-    s_inv_t = mat_mul(mat_inv(MAT_S), MAT_T)
-    identities = {
-        "S^4 = I": s4 == IDENTITY_2X2,
-        "(S T)^3 = S^2": st_cubed == s_squared,
-        "-S T = S^-1 T": minus_st == s_inv_t,
-    }
-    minus_t = evaluate_matrix(parse("x y x^-2", ALPHABET_XY), assignment)
+    claims = matrix_claims()
+    assignment = claims["assignment"]
+    relator_report = [
+        {"relator": str(r["word"]), "image": _mat_rows(r["image"]), "identity": r["identity"]}
+        for r in claims["relators"]
+    ]
+    identities = claims["identities"]
     payload = {
         "assignment": {"x": _mat_rows(assignment["x"]), "y": _mat_rows(assignment["y"])},
         "relators": relator_report,
         "identities": identities,
-        "image_of_x_y_x^-2": _mat_rows(minus_t),
-        "is_minus_T": minus_t == mat_neg(MAT_T),
+        "image_of_x_y_x^-2": _mat_rows(claims["minus_t"]),
+        "is_minus_T": claims["is_minus_t"],
     }
     lines = [
         f"{entry['relator']}: {'identity' if entry['identity'] else 'NOT identity'}"
@@ -314,26 +288,14 @@ def _cmd_verify_pi(args) -> int:
 
 
 def _cmd_verify_perm(args) -> int:
-    sa = strand_assignment()
-    W = fixtures.WORDS
-    px = evaluate_permutation(W["x"], sa)
-    py = evaluate_permutation(W["y"], sa)
-    subgroup = generated_subgroup([sa["a"], py])
-    full = generated_subgroup(list(sa.values()))
-    stab = stabilizer_of(3, full)
-    checks = {
-        "x is a 4-cycle": cycle_type(px) == (4,),
-        "y is a 3-cycle fixing 3": cycle_type(py) == (1, 3) and py[3] == 3,
-        "order of <a, y-image> is 6": len(subgroup) == 6,
-        "<a, y-image> = stabiliser of 3": subgroup == stab,
-        "crossings generate all 24": len(full) == 24,
-    }
+    claims = strand_claims()
+    checks = {label: ok for facts in claims["facts"].values() for label, ok in facts.items()}
     payload = {
         "composition": COMPOSITION_CONVENTION,
-        "images": {name: list(sa[name]) for name in sorted(sa)},
-        "x_image": list(px),
-        "y_image": list(py),
-        "subgroup_order": len(subgroup),
+        "images": {name: list(p) for name, p in sorted(claims["assignment"].items())},
+        "x_image": list(claims["x"]),
+        "y_image": list(claims["y"]),
+        "subgroup_order": len(claims["subgroup"]),
         "checks": checks,
     }
     text = "\n".join(f"{label}: {'pass' if ok else 'fail'}" for label, ok in checks.items())
@@ -361,11 +323,7 @@ def _cmd_complex_build(args) -> int:
 
 
 def _cmd_complex_link(args) -> int:
-    cx = _load_complex(args.name)
-    try:
-        link = vertex_link(cx, args.vertex)
-    except (KeyError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    link = _load_link(args)
     if args.smooth:
         link = link.smooth()
     payload = _graph_json(link)
@@ -374,14 +332,8 @@ def _cmd_complex_link(args) -> int:
 
 
 def _cmd_complex_cat0(args) -> int:
-    cx = _load_complex(args.name)
-    try:
-        link = vertex_link(cx, args.vertex)
-    except (KeyError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
-    by_deletion = link.girth()
-    by_enumeration = link.girth_exhaustive()
-    flat = by_deletion == by_enumeration == Fraction(2)
+    link = _load_link(args)
+    by_deletion, by_enumeration, flat = link_girths(link)
     payload = {
         "vertex": args.vertex,
         "link_nodes": len(link.nodes),
@@ -456,20 +408,14 @@ def _cmd_embed(args) -> int:
         if not target.is_automorphism(node_map):
             raise CliError("the wing symmetry is not an automorphism of this target")
         automorphisms = [node_map]
-    try:
-        outcome = find_embeddings(
-            source,
-            target,
-            mode=args.mode,
-            automorphisms=automorphisms,
-            with_trace=args.trace is not None,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    verified = all(
-        all(ok for _, ok in verify_embedding(source, target, emb))
-        for emb in outcome.certificates
+    outcome = find_embeddings(
+        source,
+        target,
+        mode=args.mode,
+        automorphisms=automorphisms,
+        with_trace=args.trace is not None,
     )
+    verified = certificates_verified(source, target, outcome.certificates)
     payload = {
         "source": args.source,
         "target": args.target,
@@ -514,12 +460,7 @@ def _cmd_audit(args) -> int:
         for ident in check_identifiers():
             print(ident)
         return 0
-    try:
-        report = run_audit(
-            only=args.checks or None, cap=args.cap, convention=args.convention
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = run_audit(only=args.checks or None, cap=args.cap, convention=args.convention)
     header = "\n".join(
         f"# {key}: {value}" for key, value in sorted(report.meta.items())
     )
@@ -596,6 +537,13 @@ def _cmd_export(args) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_json_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json",
@@ -658,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy", choices=("hlt", "felsch", "both"), default="both"
     )
-    p.add_argument("--cap", type=int, default=100_000, help="max cosets defined")
+    p.add_argument("--cap", type=_positive_int, default=100_000, help="max cosets defined")
     _add_json_flag(p)
     p.set_defaults(func=_cmd_verify_index)
 
@@ -743,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="check identifiers or prefixes (default: everything)",
     )
     p.add_argument("--list", action="store_true", help="list check identifiers and exit")
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=_positive_int, default=100_000)
     p.add_argument(
         "--convention",
         choices=("left", "right"),
@@ -767,10 +715,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -249,22 +249,24 @@ def find_embeddings(
     """
     if mode not in ("all", "first"):
         raise ValueError(f"unknown mode {mode!r}")
-    bad = [n for n in source.nodes if source.degree(n) < 3]
-    if bad:
-        raise ValueError(
-            f"source nodes {bad} have degree below three; smooth the graph first"
-        )
     search = _Search(source, target, mode, automorphisms or [], with_trace)
     return search.run()
 
 
 class _Search:
     def __init__(self, source, target, mode, automorphisms, with_trace):
+        self.src_degree = source.degrees()
+        bad = [n for n in source.nodes if self.src_degree[n] < 3]
+        if bad:
+            raise ValueError(
+                f"source nodes {bad} have degree below three; smooth the graph first"
+            )
+        self.tgt_degree = target.degrees()
         self.src = source
         self.tgt = target
         self.mode = mode
         self.with_trace = with_trace
-        self.node_order = sorted(source.nodes, key=lambda n: (-source.degree(n), n))
+        self.node_order = sorted(source.nodes, key=lambda n: (-self.src_degree[n], n))
         self.root_candidates = (
             orbit_representatives(target, automorphisms)
             if automorphisms
@@ -275,8 +277,6 @@ class _Search:
             darts.sort()
         self.src_dist = self._all_pairs(source)
         self.tgt_dist = self._all_pairs(target)
-        self.src_degree = {n: source.degree(n) for n in source.nodes}
-        self.tgt_degree = {n: target.degree(n) for n in target.nodes}
 
         self.images: dict[str, str] = {}
         self.taken: dict[str, str] = {}

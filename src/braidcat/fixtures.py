@@ -17,6 +17,7 @@ from .words import ALPHABET_ST, ALPHABET_XY, Word, parse
 
 __all__ = [
     "WORDS",
+    "G0_RELATORS",
     "g0_presentation",
     "sl2_presentation",
     "SUBGROUPS",
@@ -51,14 +52,12 @@ WORDS: dict[str, Word] = {
 }
 
 
+G0_RELATORS = ("x^4", "y^3", "x y x^2 Y X Y x^-2 y")
+
+
 def g0_presentation() -> Presentation:
     return Presentation(
-        ALPHABET_XY,
-        (
-            parse("x^4", ALPHABET_XY),
-            parse("y^3", ALPHABET_XY),
-            parse("x y x^2 Y X Y x^-2 y", ALPHABET_XY),
-        ),
+        ALPHABET_XY, tuple(parse(text, ALPHABET_XY) for text in G0_RELATORS)
     )
 
 

@@ -293,7 +293,14 @@ def presentation_equalities() -> tuple[tuple[str, str, str], ...]:
 
 def check_presentation(e: Word, f: Word, d: Word) -> list[tuple[str, bool]]:
     """Check the six-generator equalities for given expressions of d, e, f
-    as words in a, b, c.  Returns one (label, holds) pair per equality."""
+    as words in a, b, c.  Returns one (label, holds) pair per equality.
+
+    The six generators and ten equalities are the Birman-Ko-Lee band
+    presentation of the four-strand braid group (Birman-Ko-Lee 1998):
+    one generator per chord between four points on a circle, the two
+    pairs of disjoint chords commute (ca=ac, ef=fe), and each of the
+    four triangles of chords gives two equalities.  Here a, b, c are
+    the elementary crossings and d, e, f the supplied words."""
     from .words import parse, substitute
 
     images = {

@@ -62,9 +62,12 @@ class MetricGraph:
     def degree(self, node: str) -> int:
         return len(self.incidence()[node])
 
+    def degrees(self) -> dict[str, int]:
+        """node -> degree, from one incidence table."""
+        return {n: len(ends) for n, ends in self.incidence().items()}
+
     def degree_multiset(self) -> tuple[int, ...]:
-        inc = self.incidence()
-        return tuple(sorted(len(inc[n]) for n in self.nodes))
+        return tuple(sorted(self.degrees().values()))
 
     # -- metric ---------------------------------------------------------
 
@@ -256,7 +259,10 @@ def parse_length(text: str) -> Fraction:
     num, _, den = text.partition("/")
     if not den:
         raise ValueError(f"length must be written p/q, got {text!r}")
-    value = Fraction(int(num), int(den))
+    numerator, denominator = int(num), int(den)
+    if denominator == 0:
+        raise ValueError(f"length has a zero denominator: {text!r}")
+    value = Fraction(numerator, denominator)
     if value <= 0:
         raise ValueError(f"length must be positive, got {text!r}")
     return value

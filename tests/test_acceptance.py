@@ -129,21 +129,10 @@ def test_criterion_3_permutation_image():
     assert sub == stabilizer_of(fixed[0], full)
 
     table = _enumerate_both("index-four")
-
-    def table_cycle_type(images):
-        seen, sizes = set(), []
-        for start in range(1, len(images) + 1):
-            if start not in seen:
-                k, size = start, 0
-                while k not in seen:
-                    seen.add(k)
-                    size += 1
-                    k = images[k - 1]
-                sizes.append(size)
-        return tuple(sorted(sizes))
-
-    assert cycle_type(px) == (4,) == table_cycle_type(table.action["x"])
-    assert cycle_type(py) == (1, 3) == table_cycle_type(table.action["y"])
+    # the coset table's images are 1-based
+    coset_x, coset_y = (tuple(i - 1 for i in table.action[g]) for g in ("x", "y"))
+    assert cycle_type(px) == (4,) == cycle_type(coset_x)
+    assert cycle_type(py) == (1, 3) == cycle_type(coset_y)
 
 
 def test_criterion_4_garside_audit():

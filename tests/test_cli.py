@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from braidcat.audit import run_audit
 from braidcat.cli import main
 from braidcat.complexes import TriComplex
 from braidcat.metric_graph import MetricGraph
@@ -121,6 +122,21 @@ def test_verify_index_overflow_is_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "index", "--fixture", "index-four", "--cap", "-5"),
+        ("verify", "index", "--fixture", "index-four", "--cap", "0"),
+        ("audit", "index:four", "--cap", "-5"),
+    ],
+)
+def test_cap_below_one_is_an_invocation_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "--cap: must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_index_requires_a_target(capsys):
     code, _, err = run(capsys, "verify", "index")
     assert code == 2
@@ -147,6 +163,25 @@ def test_verify_perm(capsys):
     assert code == 0
     assert all(payload["checks"].values())
     assert payload["subgroup_order"] == 6
+
+
+@pytest.mark.parametrize(
+    "argv, selectors",
+    [
+        (("verify", "pi"), ["matrix:"]),
+        (("verify", "perm"), ["perm:images", "perm:stabilizer"]),
+        (("complex", "cat0", "x1bar"), ["link:girth"]),
+        (("complex", "cat0", "ybar1"), ["link:wing-girth"]),
+        (("garside", "audit-presentation"), ["presentation:"]),
+        (("verify", "index", "--fixture", "index-four"), ["index:four"]),
+        (("verify", "index", "--fixture", "whole-group-xy"), ["index:whole-xy"]),
+        (("verify", "index", "--fixture", "whole-group-ax"), ["index:whole-ax"]),
+        (("verify", "index", "--fixture", "matrix-pair"), ["index:matrix-pair"]),
+    ],
+)
+def test_view_exit_code_agrees_with_the_audit(capsys, argv, selectors):
+    code, _, _ = run(capsys, *argv)
+    assert code == run_audit(only=selectors).exit_code
 
 
 # -- complex and graph ------------------------------------------------------
@@ -360,6 +395,14 @@ def test_export_audit_report_is_byte_deterministic(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     data = json.loads(first.read_text())
     assert data["summary"]["failed"] == ["embed:main"]
+
+
+@pytest.mark.parametrize(
+    "argv", [("garside", "nf", "a", "--json"), ("export", "brady-link", "--out")]
+)
+def test_unwritable_output_path_is_an_error(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *argv, str(tmp_path / "no-such-dir" / "out"))
+    assert code == 2 and err.startswith("error:")
 
 
 def test_export_unknown_object(capsys):

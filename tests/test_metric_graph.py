@@ -165,6 +165,8 @@ def test_serialisation_round_trip():
         parse_length("0.5")
     with pytest.raises(ValueError):
         parse_length("-1/3")
+    with pytest.raises(ValueError, match="zero denominator"):
+        MetricGraph.from_lines(["node p", "node q", "arc p q 1/0"])
     with pytest.raises(ValueError):
         MetricGraph.from_lines(["squiggle p q"])
 
