@@ -170,6 +170,13 @@ class _Context:
 
         return self.once(f"index:{name}", run)
 
+    def orbit(self, g: str, seed: str, convention: str) -> list[Word]:
+        words = fixtures.WORDS
+        return self.once(
+            f"orbit:{g}:{seed}:{convention}",
+            lambda: conjugation_orbit(words[g], words[seed], convention=convention),
+        )
+
     # geometry -----------------------------------------------------------
 
     @property
@@ -416,14 +423,14 @@ def _build_catalogue(ctx: _Context):
     )
 
     def resolve_convention():
-        left = conjugation_orbit(W["x"], W["a"], convention="left")
+        left = ctx.orbit("x", "a", "left")
         ok = (
             len(left) == 4
             and equals(left[1], W["e"])
             and equals(left[2], W["c"])
             and equals(left[3], W["f"])
         )
-        right = conjugation_orbit(W["x"], W["a"], convention="right")
+        right = ctx.orbit("x", "a", "right")
         right_matches = equals(right[1], W["e"])
         witness = {
             "left_orbit": [str(w) for w in left],
@@ -476,7 +483,7 @@ def _build_catalogue(ctx: _Context):
 
     def orbit_check(g, seed, expected):
         def run():
-            orbit = conjugation_orbit(W[g], W[seed], convention=ctx.convention)
+            orbit = ctx.orbit(g, seed, ctx.convention)
             ok = len(orbit) == len(expected) and all(
                 equals(w, W[name]) for w, name in zip(orbit, expected)
             )

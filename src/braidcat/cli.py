@@ -77,27 +77,19 @@ def _complex_json(cx: TriComplex) -> dict:
     }
 
 
-def _load_graph(name: str) -> MetricGraph:
-    if name in fixtures.GRAPH_NAMES:
-        return fixtures.graph_fixture(name)
+def _load(kind: str, name: str) -> MetricGraph | TriComplex:
+    """A graph or complex: a named fixture, or a file in its text format."""
+    names, fixture, from_lines = {
+        "graph": (fixtures.GRAPH_NAMES, fixtures.graph_fixture, MetricGraph.from_lines),
+        "complex": (fixtures.COMPLEX_NAMES, fixtures.complex_fixture, TriComplex.from_lines),
+    }[kind]
+    if name in names:
+        return fixture(name)
     path = Path(name)
     if path.is_file():
-        return MetricGraph.from_lines(path.read_text().splitlines())
+        return from_lines(path.read_text().splitlines())
     raise CliError(
-        f"unknown graph {name!r}: not a fixture ({', '.join(fixtures.GRAPH_NAMES)}) "
-        "and not a readable file"
-    )
-
-
-def _load_complex(name: str) -> TriComplex:
-    if name in fixtures.COMPLEX_NAMES:
-        return fixtures.complex_fixture(name)
-    path = Path(name)
-    if path.is_file():
-        return TriComplex.from_lines(path.read_text().splitlines())
-    raise CliError(
-        f"unknown complex {name!r}: not a fixture ({', '.join(fixtures.COMPLEX_NAMES)}) "
-        "and not a readable file"
+        f"unknown {kind} {name!r}: not a fixture ({', '.join(names)}) and not a readable file"
     )
 
 
@@ -122,7 +114,7 @@ def _load_presentation(name: str) -> Presentation:
 
 def _load_link(args) -> MetricGraph:
     try:
-        return vertex_link(_load_complex(args.name), args.vertex)
+        return vertex_link(_load("complex", args.name), args.vertex)
     except (KeyError, ValueError) as exc:
         raise CliError(str(exc)) from exc
 
@@ -214,7 +206,10 @@ def _cmd_verify_index(args) -> int:
         presentation = factory()
     else:
         if not (args.group and args.subgroup):
-            raise CliError("need either --fixture or both --group and --subgroup")
+            raise CliError(
+                "need either --fixture or both --group and --subgroup "
+                "(the trivial subgroup is spelled 1)"
+            )
         presentation = _load_presentation(args.group)
         subgroup = [
             parse(text, presentation.alphabet) for text in args.subgroup.split(",") if text.strip()
@@ -308,7 +303,7 @@ def _cmd_verify_perm(args) -> int:
 
 
 def _cmd_complex_build(args) -> int:
-    cx = _load_complex(args.name)
+    cx = _load("complex", args.name)
     payload = {
         "vertices": len(cx.vertices),
         "edges": len(cx.edges),
@@ -357,7 +352,7 @@ def _cmd_complex_cat0(args) -> int:
 
 
 def _cmd_graph_girth(args) -> int:
-    graph = _load_graph(args.name)
+    graph = _load("graph", args.name)
     by_deletion = graph.girth()
     payload = {"girth": format_length(by_deletion) if by_deletion < INFINITY else None}
     if args.both:
@@ -379,7 +374,7 @@ def _cmd_graph_girth(args) -> int:
 
 
 def _cmd_graph_dist(args) -> int:
-    graph = _load_graph(args.name)
+    graph = _load("graph", args.name)
     for node in (args.source, args.dest):
         if node not in graph.nodes:
             raise CliError(f"node {node!r} not in graph")
@@ -400,8 +395,8 @@ def _cmd_graph_dist(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    source = _load_graph(args.source)
-    target = _load_graph(args.target)
+    source = _load("graph", args.source)
+    target = _load("graph", args.target)
     automorphisms = None
     if args.symmetry:
         node_map = fixtures.link_symmetry(target)
@@ -485,10 +480,13 @@ def _export_object(name: str, fmt: str):
         if fmt == "text":
             return None, "\n".join(graph.to_lines())
         return _graph_json(graph), None
+    if fmt == "dot":
+        if name in fixtures.COMPLEX_NAMES:
+            raise CliError("dot export is for graphs; export the link instead")
+        if name in fixtures.SUBGROUPS or name == "audit-report":
+            raise CliError("dot export is for graphs")
     if name in fixtures.COMPLEX_NAMES:
         cx = fixtures.complex_fixture(name)
-        if fmt == "dot":
-            raise CliError("dot export is for graphs; export the link instead")
         if fmt == "text":
             return None, "\n".join(cx.to_lines())
         return _complex_json(cx), None
@@ -497,8 +495,6 @@ def _export_object(name: str, fmt: str):
         result = enumerate_cosets(factory(), subgroup, strategy="hlt", cap=100_000)
         if not isinstance(result, Enumeration):
             raise CliError(f"enumeration for {name!r} hit the cap")
-        if fmt == "dot":
-            raise CliError("dot export is for graphs")
         if fmt == "text":
             rows = [f"index {result.count}"]
             for gen, images in sorted(result.action.items()):
@@ -507,8 +503,6 @@ def _export_object(name: str, fmt: str):
         return result.to_json_dict(), None
     if name == "audit-report":
         report = run_audit()
-        if fmt == "dot":
-            raise CliError("dot export is for graphs")
         if fmt == "text":
             return None, report.to_text()
         # timing stripped so equal builds export equal bytes

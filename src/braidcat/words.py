@@ -87,10 +87,7 @@ class Word:
     def __pow__(self, n: int) -> Word:
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word()
-        for _ in range(n):
-            out = out * self
-        return out
+        return Word.from_letters(self.letters * n)
 
     def inverse(self) -> Word:
         return Word(tuple((name, -sign) for name, sign in reversed(self.letters)))

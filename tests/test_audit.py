@@ -102,6 +102,22 @@ def test_unknown_selector_rejected():
         run_audit(convention="sideways")
 
 
+def test_shared_orbit_is_computed_once(monkeypatch):
+    import braidcat.audit
+
+    calls = []
+    real = braidcat.audit.conjugation_orbit
+
+    def counted(g, seed, **kwargs):
+        calls.append((str(g), str(seed), kwargs["convention"]))
+        return real(g, seed, **kwargs)
+
+    monkeypatch.setattr(braidcat.audit, "conjugation_orbit", counted)
+    report = run_audit(only=["orbit:x-a", "convention"])
+    assert [r.status for r in report.results] == ["resolved:left", "pass"]
+    assert sorted(c[2] for c in calls) == ["left", "right"]
+
+
 def test_right_convention_breaks_the_asymmetric_orbits():
     report = run_audit(only=["orbit"], convention="right")
     statuses = {r.ident: r.status for r in report.results}

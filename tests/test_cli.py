@@ -115,6 +115,16 @@ def test_verify_index_from_presentation_file(tmp_path, capsys):
     assert payload["hlt"]["count"] == 1 and payload["felsch"]["count"] == 1
 
 
+def test_verify_index_trivial_subgroup_is_spelled_one(tmp_path, capsys):
+    path = tmp_path / "cyclic.txt"
+    path.write_text("x\nx^3\n")
+    code, _, err = run(capsys, "verify", "index", "--group", str(path), "--subgroup", "")
+    assert code == 2 and "trivial subgroup is spelled 1" in err
+    code, payload = run_json(capsys, "verify", "index", "--group", str(path), "--subgroup", "1")
+    assert code == 0
+    assert payload["hlt"]["count"] == 3 and payload["felsch"]["count"] == 3
+
+
 def test_verify_index_overflow_is_exit_two(capsys):
     code, _, _ = run(
         capsys, "verify", "index", "--fixture", "index-four", "--cap", "2"
@@ -413,6 +423,17 @@ def test_export_unknown_object(capsys):
 def test_export_dot_rejected_for_complexes(capsys):
     code, _, err = run(capsys, "export", "x1bar", "--format", "dot")
     assert code == 2 and "link" in err
+
+
+@pytest.mark.parametrize("name", ["audit-report", "index-four"])
+def test_export_dot_rejected_before_building(capsys, monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the object before checking the format")
+
+    monkeypatch.setattr("braidcat.cli.run_audit", refuse)
+    monkeypatch.setattr("braidcat.cli.enumerate_cosets", refuse)
+    code, _, err = run(capsys, "export", name, "--format", "dot")
+    assert code == 2 and err.strip() == "error: dot export is for graphs"
 
 
 # -- the installed entry point ----------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from braidcat.cosets import (
@@ -118,3 +120,108 @@ def test_trivial_presentation():
     pres = Presentation(Alphabet(("x",)), (parse("x", Alphabet(("x",))),))
     res = enumerate_cosets(pres, [])
     assert res.count == 1
+
+
+# -- the verifier's power: each check on its own ----------------------------
+
+CHECKS = (
+    "columns-bijective",
+    "relators-fix-all-cosets",
+    "subgroup-fixes-coset-1",
+    "action-transitive",
+)
+
+
+def coxeter(n):
+    """The Coxeter presentation of the symmetric group S_n."""
+    names = "abcdefghij"[: n - 1]
+    alphabet = Alphabet(tuple(names))
+    relators = []
+    for i, x in enumerate(names):
+        relators.append(f"{x}^2")
+        for j in range(i + 1, len(names)):
+            relators.append(f"{x} {names[j]} " * (3 if j == i + 1 else 2))
+    return Presentation(alphabet, tuple(parse(r, alphabet) for r in relators))
+
+
+def index_four():
+    sub = [parse("x y x^-2", ALPHABET_XY), parse("y", ALPHABET_XY)]
+    return enumerate_cosets(g0(), sub), sub
+
+
+def with_action(table, **columns):
+    action = {**table.action, **{g: tuple(images) for g, images in columns.items()}}
+    return dataclasses.replace(table, count=len(next(iter(action.values()))), action=action)
+
+
+def failed(checks):
+    assert [name for name, _ in checks] == list(CHECKS)
+    return [name for name, ok in checks if not ok]
+
+
+def test_verifier_accepts_the_untouched_table():
+    table, sub = index_four()
+    assert failed(verify_table(table, g0(), sub)) == []
+
+
+def test_verifier_rejects_a_repeated_image():
+    # No inverse column exists, so nothing else can be checked.
+    table, sub = index_four()
+    x = list(table.action["x"])
+    x[0] = x[1]
+    assert failed(verify_table(with_action(table, x=x), g0(), sub)) == list(CHECKS)
+
+
+@pytest.mark.parametrize("bad", [0, 5])
+def test_verifier_rejects_an_image_out_of_range(bad):
+    table, sub = index_four()
+    x = list(table.action["x"])
+    x[0] = bad
+    assert failed(verify_table(with_action(table, x=x), g0(), sub)) == list(CHECKS)
+
+
+def test_verifier_rejects_swapped_columns():
+    # Swapping a and b keeps every column a bijection and the action
+    # transitive, and c still fixes coset 1, but (a c)^2 becomes
+    # (b c)^2, which has order three.
+    pres, sub = coxeter(4), [parse("c", Alphabet(("a", "b", "c")))]
+    table = enumerate_cosets(pres, sub)
+    assert table.count == 12
+    swapped = with_action(table, a=table.action["b"], b=table.action["a"])
+    assert failed(verify_table(swapped, pres, sub)) == ["relators-fix-all-cosets"]
+
+
+def test_verifier_rejects_a_moved_base_coset():
+    # Renumbering cosets 1 and 2 keeps a valid permutation action, but
+    # coset 1 is no longer the subgroup, and y moves it.
+    table, sub = index_four()
+    swap = {1: 2, 2: 1}
+    relabel = {}
+    for g, images in table.action.items():
+        new = [0] * table.count
+        for i, image in enumerate(images, 1):
+            new[swap.get(i, i) - 1] = swap.get(image, image)
+        relabel[g] = new
+    moved = with_action(table, **relabel)
+    assert failed(verify_table(moved, g0(), sub)) == ["subgroup-fixes-coset-1"]
+
+
+def test_verifier_rejects_a_disconnected_action():
+    # Two disjoint copies of the table: everything holds but transitivity.
+    table, sub = index_four()
+    n = table.count
+    doubled = {g: [*images, *(k + n for k in images)] for g, images in table.action.items()}
+    assert failed(verify_table(with_action(table, **doubled), g0(), sub)) == [
+        "action-transitive"
+    ]
+
+
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+def test_s7_over_the_trivial_subgroup(strategy):
+    # Index 5040: the verifier must stay linear in the table size, or
+    # this test stalls.
+    pres = coxeter(7)
+    res = enumerate_cosets(pres, [], strategy=strategy)
+    assert isinstance(res, Enumeration)
+    assert res.count == 5040
+    assert failed(verify_table(res, pres, [])) == []

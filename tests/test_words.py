@@ -69,6 +69,10 @@ def test_powers():
     assert v**3 == parse("ababab")
     assert v**0 == Word()
     assert v**-2 == parse("BABA")
+    # powers of a word that is not cyclically reduced cancel at the seams
+    u = parse("aBA")
+    assert u**3 == u * u * u == parse("aBBBA")
+    assert u**-2 == u.inverse() * u.inverse()
 
 
 def test_serialisation_round_trip_known():
