@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures
@@ -32,7 +33,7 @@ from .complexes import TriComplex, vertex_link
 from .cosets import Enumeration, Presentation, enumerate_cosets
 from .embed import find_embeddings
 from .garside import conjugation_orbit, normal_form
-from .metric_graph import INFINITY, MetricGraph, format_length
+from .metric_graph import MetricGraph, format_length
 from .reps import COMPOSITION_CONVENTION
 from .words import ALPHABET_ABC, Alphabet, parse
 
@@ -117,6 +118,15 @@ def _load_link(args) -> MetricGraph:
         return vertex_link(_load("complex", args.name), args.vertex)
     except (KeyError, ValueError) as exc:
         raise CliError(str(exc)) from exc
+
+
+def _length_or_none(length: Fraction | None) -> str | None:
+    """A length for a JSON payload; None (no cycle, no path) stays null."""
+    return None if length is None else format_length(length)
+
+
+def _pi_or_none(length: Fraction | None) -> str:
+    return "none" if length is None else f"{format_length(length)} pi"
 
 
 def _mat_rows(matrix) -> list[list[int]]:
@@ -333,14 +343,14 @@ def _cmd_complex_cat0(args) -> int:
         "vertex": args.vertex,
         "link_nodes": len(link.nodes),
         "link_arcs": len(link.arcs),
-        "girth_by_deletion": format_length(by_deletion),
-        "girth_by_enumeration": format_length(by_enumeration),
+        "girth_by_deletion": _length_or_none(by_deletion),
+        "girth_by_enumeration": _length_or_none(by_enumeration),
         "girth_at_least_two_pi": flat,
     }
     text = (
         f"link of {args.vertex}: {len(link.nodes)} nodes, {len(link.arcs)} arcs\n"
-        f"girth {format_length(by_deletion)} pi (deletion) "
-        f"= {format_length(by_enumeration)} pi (enumeration)\n"
+        f"girth {_pi_or_none(by_deletion)} (deletion) "
+        f"= {_pi_or_none(by_enumeration)} (enumeration)\n"
         f"nonpositively curved at {args.vertex}: {'yes' if flat else 'NO'}"
     )
     _emit(payload, text, args.json)
@@ -354,14 +364,12 @@ def _cmd_complex_cat0(args) -> int:
 def _cmd_graph_girth(args) -> int:
     graph = _load("graph", args.name)
     by_deletion = graph.girth()
-    payload = {"girth": format_length(by_deletion) if by_deletion < INFINITY else None}
+    payload = {"girth": _length_or_none(by_deletion)}
     if args.both:
         by_enumeration = graph.girth_exhaustive()
-        payload["girth_by_enumeration"] = (
-            format_length(by_enumeration) if by_enumeration < INFINITY else None
-        )
+        payload["girth_by_enumeration"] = _length_or_none(by_enumeration)
         payload["agree"] = by_deletion == by_enumeration
-    if by_deletion >= INFINITY:
+    if by_deletion is None:
         text = "acyclic (no girth)"
     else:
         text = f"girth {format_length(by_deletion)} pi"
@@ -379,13 +387,8 @@ def _cmd_graph_dist(args) -> int:
         if node not in graph.nodes:
             raise CliError(f"node {node!r} not in graph")
     d = graph.distance(args.source, args.dest)
-    reachable = d < INFINITY
-    payload = {
-        "from": args.source,
-        "to": args.dest,
-        "distance": format_length(d) if reachable else None,
-    }
-    text = f"{format_length(d)} pi" if reachable else "unreachable"
+    payload = {"from": args.source, "to": args.dest, "distance": _length_or_none(d)}
+    text = "unreachable" if d is None else f"{format_length(d)} pi"
     _emit(payload, text, args.json)
     return 0
 

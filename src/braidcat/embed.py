@@ -29,6 +29,16 @@ with constraints off one class at a time (no path of the right length
 at all, or paths blocked by arc and node reuse, or paths blocked only
 by the direction condition).
 
+Arithmetic: the search runs on integers.  Every arc length of both
+graphs, and every distance between their nodes, is a multiple of 1/L,
+where L is the least common multiple of the arc lengths' denominators,
+so routing budgets and distance comparisons are exact integer
+operations on lengths measured in units of 1/L.  Lengths turn back
+into fractions only where they are reported.  The decision tree is
+built only when a trace is requested; without one the search keeps
+just its counters (nodes explored, prunes by reason), which are the
+same either way.
+
 Root symmetry: the image of the first source node may be restricted to
 one representative per orbit of a supplied group of target
 automorphisms.  Composing an embedding with a target automorphism is
@@ -40,6 +50,7 @@ records the restriction.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -263,18 +274,30 @@ class _Search:
             )
         self.tgt_degree = target.degrees()
         self.src = source
-        self.tgt = target
         self.mode = mode
         self.with_trace = with_trace
         self.node_order = sorted(source.nodes, key=lambda n: (-self.src_degree[n], n))
+        self.candidates = sorted(target.nodes)
         self.root_candidates = (
-            orbit_representatives(target, automorphisms)
-            if automorphisms
-            else sorted(target.nodes)
+            orbit_representatives(target, automorphisms) if automorphisms else self.candidates
         )
-        self.tgt_darts, self.tail, self.head = _dart_maps(target)
-        for darts in self.tgt_darts.values():
-            darts.sort()
+        # ready[k]: the source arcs whose last end to land is node_order[k]
+        position = {n: k for k, n in enumerate(self.node_order)}
+        self.ready: list[list[int]] = [[] for _ in self.node_order]
+        for i, (p, q, _) in enumerate(source.arcs):
+            self.ready[max(position[p], position[q])].append(i)
+
+        self.scale = math.lcm(*(length.denominator for *_, length in source.arcs + target.arcs))
+        self.src_length = [self._scaled(length) for *_, length in source.arcs]
+        by_node, self.tail, self.head = _dart_maps(target)
+        # target node -> (dart, arc, scaled length, head) for each dart leaving it
+        self.out: dict[str, list[tuple[Dart, int, int, str]]] = {
+            node: [
+                (dart, dart[0], self._scaled(target.arcs[dart[0]][2]), self.head[dart])
+                for dart in sorted(darts)
+            ]
+            for node, darts in by_node.items()
+        }
         self.src_dist = self._all_pairs(source)
         self.tgt_dist = self._all_pairs(target)
 
@@ -290,36 +313,55 @@ class _Search:
         self.nodes_explored = 0
         self.stop = False
 
-    @staticmethod
-    def _all_pairs(graph: MetricGraph) -> dict[tuple[str, str], Fraction]:
-        return {
-            (u, v): graph.distance(u, v) for u in graph.nodes for v in graph.nodes
-        }
+    def _scaled(self, length: Fraction) -> int:
+        return length.numerator * (self.scale // length.denominator)
+
+    def _format(self, scaled: int | None) -> str | None:
+        return None if scaled is None else format_length(Fraction(scaled, self.scale))
+
+    def _all_pairs(self, graph: MetricGraph) -> dict[str, dict[str, int | None]]:
+        """Scaled distances by source then target; None where unreachable."""
+        table: dict[str, dict[str, int | None]] = {}
+        for u in graph.nodes:
+            row = table[u] = {}
+            for v in graph.nodes:
+                d = graph.distance(u, v)
+                row[v] = None if d is None else self._scaled(d)
+        return table
 
     def run(self) -> SearchOutcome:
-        root = SearchNode(
-            {"kind": "root", "root_candidates": list(self.root_candidates)}
-        )
+        root = None
+        if self.with_trace:
+            root = SearchNode({"kind": "root", "root_candidates": list(self.root_candidates)})
         self._assign(0, root)
         return SearchOutcome(
             certificates=self.certificates,
             prunes=self.prunes,
             nodes_explored=self.nodes_explored,
-            trace=root if self.with_trace else None,
+            trace=root,
         )
 
-    def _child(self, parent: SearchNode, decision: dict) -> SearchNode:
+    # The trace is built only when requested: without it every parent is
+    # None, and the thunks that build decisions and prune details never run.
+
+    def _child(self, parent: SearchNode | None, decision) -> SearchNode | None:
         self.nodes_explored += 1
-        node = SearchNode(decision)
-        if self.with_trace:
-            parent.children.append(node)
+        if parent is None:
+            return None
+        node = SearchNode(decision())
+        parent.children.append(node)
         return node
 
-    def _record_prune(self, node: SearchNode, prune: dict) -> None:
-        self.prunes[prune["reason"]] += 1
-        node.prune = prune
+    def _record_prune(self, node: SearchNode | None, reason: str, detail) -> None:
+        self.prunes[reason] += 1
+        if node is not None:
+            node.prune = {"reason": reason, **detail()}
 
-    def _assign(self, k: int, parent: SearchNode) -> None:
+    def _arc_detail(self, arc_index: int) -> dict:
+        u, v, length = self.src.arcs[arc_index]
+        return {"source_arc": [u, v], "length": format_length(length)}
+
+    def _assign(self, k: int, parent: SearchNode | None) -> None:
         if self.stop:
             return
         if k == len(self.node_order):
@@ -328,76 +370,72 @@ class _Search:
                 routes=tuple(sorted(self.routes.items())),
             )
             self.certificates.append(certificate)
-            parent.complete = True
+            if parent is not None:
+                parent.complete = True
             if self.mode == "first":
                 self.stop = True
             return
         u = self.node_order[k]
-        candidates = self.root_candidates if k == 0 else sorted(self.tgt.nodes)
+        candidates = self.root_candidates if k == 0 else self.candidates
         for t in candidates:
-            node = self._child(parent, {"kind": "assign", "source": u, "target": t})
+            node = self._child(parent, lambda: {"kind": "assign", "source": u, "target": t})
             prune = self._assignment_prune(u, t)
             if prune is not None:
-                self._record_prune(node, prune)
+                self._record_prune(node, *prune)
                 continue
             self.images[u] = t
             self.taken[t] = u
-            ready = [
-                i
-                for i, (p, q, _) in enumerate(self.src.arcs)
-                if i not in self.routes and p in self.images and q in self.images
-            ]
-            self._route_ready(ready, 0, k, node)
+            self._route_ready(self.ready[k], 0, k, node)
             del self.images[u]
             del self.taken[t]
             if self.stop:
                 return
 
-    def _assignment_prune(self, u: str, t: str) -> dict | None:
+    def _assignment_prune(self, u: str, t: str):
+        """Why t cannot host u, as (reason, detail thunk), or None."""
         if self.src_degree[u] > self.tgt_degree[t]:
-            return {
-                "reason": "degree",
+            return "degree", lambda: {
                 "source": u,
                 "target": t,
                 "source_degree": self.src_degree[u],
                 "target_degree": self.tgt_degree[t],
             }
         if t in self.taken or t in self.interior:
-            return {"reason": "target-node-used", "source": u, "target": t}
+            return "target-node-used", lambda: {"source": u, "target": t}
+        src_row, tgt_row = self.src_dist[u], self.tgt_dist[t]
         for w, fw in self.images.items():
-            if self.tgt_dist[(t, fw)] > self.src_dist[(u, w)]:
-                return {
-                    "reason": "distance",
+            s, d = src_row[w], tgt_row[fw]
+            if s is not None and (d is None or d > s):
+                return "distance", lambda: {
                     "source_pair": [u, w],
                     "target_pair": [t, fw],
-                    "source_distance": format_length(self.src_dist[(u, w)]),
-                    "target_distance": format_length(self.tgt_dist[(t, fw)]),
+                    "source_distance": self._format(s),
+                    "target_distance": self._format(d),
                 }
         return None
 
-    def _route_ready(self, ready: list[int], i: int, k: int, parent: SearchNode) -> None:
+    def _route_ready(
+        self, ready: list[int], i: int, k: int, parent: SearchNode | None
+    ) -> None:
         if self.stop:
             return
         if i == len(ready):
             self._assign(k + 1, parent)
             return
         arc_index = ready[i]
-        u, v, length = self.src.arcs[arc_index]
+        u, v, _ = self.src.arcs[arc_index]
         options = self._routes_for(arc_index, check_usage=True, check_germs=True)
         if not options:
-            node = self._child(
-                parent,
-                {"kind": "route", "source_arc": [u, v], "length": format_length(length)},
-            )
-            self._record_prune(node, self._classify_routing_failure(arc_index))
+            node = self._child(parent, lambda: {"kind": "route", **self._arc_detail(arc_index)})
+            reason = self._classify_routing_failure(arc_index)
+            self._record_prune(node, reason, lambda: self._arc_detail(arc_index))
             return
         for route in options:
             node = self._child(
                 parent,
-                {
+                lambda: {
                     "kind": "route",
-                    "source_arc": [u, v],
-                    "length": format_length(length),
+                    **self._arc_detail(arc_index),
                     "path": [self.tail[route[0]]] + [self.head[d] for d in route],
                 },
             )
@@ -416,14 +454,12 @@ class _Search:
             if self.stop:
                 return
 
-    def _classify_routing_failure(self, arc_index: int) -> dict:
-        u, v, length = self.src.arcs[arc_index]
-        base = {"source_arc": [u, v], "length": format_length(length)}
+    def _classify_routing_failure(self, arc_index: int) -> str:
         if not self._routes_for(arc_index, check_usage=False, check_germs=False):
-            return {"reason": "length-mismatch", **base}
+            return "length-mismatch"
         if not self._routes_for(arc_index, check_usage=True, check_germs=False):
-            return {"reason": "injectivity-clash", **base}
-        return {"reason": "local-isometry-clash", **base}
+            return "injectivity-clash"
+        return "local-isometry-clash"
 
     def _routes_for(
         self, arc_index: int, check_usage: bool, check_germs: bool
@@ -435,40 +471,46 @@ class _Search:
         its own interior are never allowed, so routes are embedded
         paths (or an embedded loop when the source arc is a loop).
         """
-        u, v, length = self.src.arcs[arc_index]
+        u, v, _ = self.src.arcs[arc_index]
         start, goal = self.images[u], self.images[v]
+        out = self.out
+        used_arcs = self.used_arcs if check_usage else ()
+        taken = self.taken if check_usage else ()
+        interior = self.interior if check_usage else ()
+        start_germs = self.germs[start] if check_germs else ()
+        goal_germs = self.germs[goal] if check_germs else ()
         found: list[tuple[Dart, ...]] = []
+        # the route so far: its darts, their arcs, and the nodes inside it
+        path: list[Dart] = []
+        path_arcs: set[int] = set()
+        inner: set[str] = set()
 
-        def blocked_interior(node: str) -> bool:
-            if node in (start, goal):
-                return True
-            if check_usage and (node in self.taken or node in self.interior):
-                return True
-            return False
-
-        def extend(at: str, remaining: Fraction, path: list[Dart], inner: list[str]):
-            for dart in self.tgt_darts[at]:
-                arc, _ = dart
-                if arc in (a for a, _ in path):
+        def extend(at: str, remaining: int) -> None:
+            for dart, arc, length, end in out[at]:
+                if arc in path_arcs or arc in used_arcs:
                     continue
-                if check_usage and arc in self.used_arcs:
+                if not path and dart in start_germs:
                     continue
-                if not path and check_germs and dart in self.germs[start]:
-                    continue
-                left = remaining - self.tgt.arcs[arc][2]
+                left = remaining - length
                 if left < 0:
                     continue
-                end = self.head[dart]
                 if left == 0:
-                    if end != goal:
-                        continue
-                    if check_germs and _reverse(dart) in self.germs[goal]:
-                        continue
-                    found.append(tuple(path + [dart]))
-                else:
-                    if blocked_interior(end) or end in inner:
-                        continue
-                    extend(end, left, path + [dart], inner + [end])
+                    if end == goal and _reverse(dart) not in goal_germs:
+                        found.append((*path, dart))
+                elif not (
+                    end == start
+                    or end == goal
+                    or end in taken
+                    or end in interior
+                    or end in inner
+                ):
+                    path.append(dart)
+                    path_arcs.add(arc)
+                    inner.add(end)
+                    extend(end, left)
+                    inner.remove(end)
+                    path_arcs.remove(arc)
+                    path.pop()
 
-        extend(start, length, [], [])
+        extend(start, self.src_length[arc_index])
         return found

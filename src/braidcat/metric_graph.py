@@ -29,7 +29,10 @@ __all__ = [
 
 Arc = tuple[str, str, Fraction]
 
-INFINITY = Fraction(10**9)
+
+def _shorter(best: Fraction | None, length: Fraction) -> Fraction:
+    """The lesser of a cycle length and the best so far (None: no cycle yet)."""
+    return length if best is None or length < best else best
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,8 +74,10 @@ class MetricGraph:
 
     # -- metric ---------------------------------------------------------
 
-    def distance(self, source: str, target: str, skip_arc: int | None = None) -> Fraction:
-        """Exact shortest-path distance; INFINITY when disconnected."""
+    def distance(
+        self, source: str, target: str, skip_arc: int | None = None
+    ) -> Fraction | None:
+        """Exact shortest-path distance; None when disconnected."""
         dist = {source: Fraction(0)}
         heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
         adjacency: dict[str, list[tuple[str, Fraction]]] = {n: [] for n in self.nodes}
@@ -85,45 +90,47 @@ class MetricGraph:
             d, node = heapq.heappop(heap)
             if node == target:
                 return d
-            if d > dist.get(node, INFINITY):
+            if d > dist[node]:
                 continue
             for other, length in adjacency[node]:
                 nd = d + length
-                if nd < dist.get(other, INFINITY):
+                if other not in dist or nd < dist[other]:
                     dist[other] = nd
                     heapq.heappush(heap, (nd, other))
-        return dist.get(target, INFINITY)
+        return None
 
-    def girth(self) -> Fraction:
-        """Shortest embedded cycle, via deletion of each arc in turn."""
-        best = INFINITY
+    def girth(self) -> Fraction | None:
+        """Shortest embedded cycle, via deletion of each arc in turn;
+        None when the graph has no cycle."""
+        best = None
         for i, (u, v, length) in enumerate(self.arcs):
             if u == v:
-                best = min(best, length)
+                best = _shorter(best, length)
             else:
                 through = self.distance(u, v, skip_arc=i)
-                if through < INFINITY:
-                    best = min(best, through + length)
+                if through is not None:
+                    best = _shorter(best, through + length)
         return best
 
-    def girth_exhaustive(self) -> Fraction:
-        """Shortest embedded cycle, by direct enumeration.
+    def girth_exhaustive(self) -> Fraction | None:
+        """Shortest embedded cycle, by direct enumeration; None when the
+        graph has no cycle.
 
         Loops and parallel pairs are the cycles on fewer than three
         nodes; longer cycles are grown from their least node so each is
         produced once up to rotation and reflection.
         """
-        best = INFINITY
+        best = None
         by_pair: dict[tuple[str, str], list[Fraction]] = {}
         for u, v, length in self.arcs:
             if u == v:
-                best = min(best, length)
+                best = _shorter(best, length)
             else:
                 by_pair.setdefault((min(u, v), max(u, v)), []).append(length)
         for lengths in by_pair.values():
             if len(lengths) >= 2:
                 pair = sorted(lengths)
-                best = min(best, pair[0] + pair[1])
+                best = _shorter(best, pair[0] + pair[1])
 
         order = {n: i for i, n in enumerate(self.nodes)}
         adjacency: dict[str, list[tuple[str, Fraction]]] = {n: [] for n in self.nodes}
@@ -134,11 +141,11 @@ class MetricGraph:
 
         def grow(root: str, node: str, used: set[str], total: Fraction) -> None:
             nonlocal best
-            if total >= best:
+            if best is not None and total >= best:
                 return
             for other, length in adjacency[node]:
                 if other == root and len(used) >= 3:
-                    best = min(best, total + length)
+                    best = _shorter(best, total + length)
                 elif other not in used and order[other] > order[root]:
                     used.add(other)
                     grow(root, other, used, total + length)

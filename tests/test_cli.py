@@ -1,8 +1,10 @@
 """The command line surface: parsing, exit codes, JSON payloads, exports."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -247,6 +249,30 @@ def test_graph_dist(capsys):
     assert out.strip() == "1/1 pi"
 
 
+def test_long_lengths_are_not_infinite(tmp_path, capsys):
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text("node a\nnode b\narc a b 1000000000/1\narc a b 1/1\n")
+    code, out, _ = run(capsys, "graph", "girth", str(cycle), "--both")
+    assert code == 0 and out.strip() == "girth 1000000001/1 pi, enumeration agrees: yes"
+    single = tmp_path / "single.txt"
+    single.write_text("node a\nnode b\narc a b 1000000001/1\n")
+    code, out, _ = run(capsys, "graph", "dist", str(single), "a", "b")
+    assert code == 0 and out.strip() == "1000000001/1 pi"
+
+
+def test_no_cycle_and_no_path_render_as_null(tmp_path, capsys):
+    path = tmp_path / "path.txt"
+    path.write_text("node a\nnode b\nnode c\narc a b 1/1\n")
+    code, out, _ = run(capsys, "graph", "girth", str(path))
+    assert code == 0 and out.strip() == "acyclic (no girth)"
+    code, payload = run_json(capsys, "graph", "girth", str(path), "--both")
+    assert payload == {"girth": None, "girth_by_enumeration": None, "agree": True}
+    code, out, _ = run(capsys, "graph", "dist", str(path), "a", "c")
+    assert code == 0 and out.strip() == "unreachable"
+    code, payload = run_json(capsys, "graph", "dist", str(path), "a", "c")
+    assert payload["distance"] is None
+
+
 def test_graph_dist_unknown_node(capsys):
     code, _, err = run(capsys, "graph", "dist", "brady-link", "v1", "v99")
     assert code == 2 and "v99" in err
@@ -285,6 +311,34 @@ def test_embed_main_search_through_cli(capsys, tmp_path):
     tree = json.loads(trace.read_text())
     assert tree["decision"]["kind"] == "root"
     assert tree["children"]
+
+
+def test_embed_trace_file_is_pinned(capsys, tmp_path):
+    """The main search's trace, byte for byte: the search's arithmetic
+    and its trace construction may change, the tree it writes may not."""
+    trace = tmp_path / "trace.json"
+    code, _, _ = run(
+        capsys, "embed",
+        "--source", "brady-link", "--target", "x1bar-link-smooth",
+        "--symmetry", "--trace", str(trace),
+    )
+    assert code == 0
+    data = trace.read_bytes()
+    assert len(data) == 1_289_820
+    assert hashlib.sha256(data).hexdigest() == (
+        "0536c83db27aad6eb5f83fa7aff3b2add5d5dc9bfed164820e4c20d1c8f23ae4"
+    )
+    nodes, prunes, complete = 0, Counter(), 0
+    stack = list(json.loads(data)["children"])
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        prunes.update([node["prune"]["reason"]] if "prune" in node else [])
+        complete += node.get("complete", False)
+        stack.extend(node.get("children", []))
+    assert nodes == 2366
+    assert prunes == {"distance": 870, "target-node-used": 928}
+    assert complete == 32
 
 
 def test_embed_without_symmetry_triples_the_count(capsys):

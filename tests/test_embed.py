@@ -239,7 +239,65 @@ def test_first_mode_stops_early():
     assert first.nodes_explored < everything.nodes_explored
 
 
+def _audit_searches():
+    """The four searches the audit runs, as find_embeddings arguments."""
+    g, tgt = brady_link(), smoothed_link()
+    wing = vertex_link(ybar1(), "o").smooth()
+    return [
+        (g, g, "first", None),
+        (wing, tgt, "all", None),
+        (g, tgt, "all", [link_symmetry(tgt)]),
+        (g, tgt, "all", None),
+    ]
+
+
+def _planted_searches(count=30):
+    return [
+        (*planted_instance(random.Random(SEED + i)), "first" if i % 2 else "all", None)
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "case", range(4 + 30), ids=lambda i: f"audit-{i}" if i < 4 else f"planted-{i - 4}"
+)
+def test_trace_does_not_change_the_search(case):
+    src, tgt, mode, automorphisms = (_audit_searches() + _planted_searches())[case]
+    runs = [
+        find_embeddings(src, tgt, mode=mode, automorphisms=automorphisms, with_trace=traced)
+        for traced in (False, True)
+    ]
+    untraced, traced = runs
+    assert untraced.trace is None and traced.trace is not None
+    assert untraced.certificates == traced.certificates
+    assert untraced.prunes == traced.prunes
+    assert untraced.nodes_explored == traced.nodes_explored
+
+
 # -- pruning and error behaviour ----------------------------------------
+
+
+def test_unreachable_target_pair_is_a_distance_prune():
+    src = theta()
+    # two theta components: no route joins a node of one to the other
+    tgt = MetricGraph(
+        ("P", "Q", "R", "S"),
+        (("P", "Q", F(1)),) * 3 + (("R", "S", F(1)),) * 3,
+    )
+    out = find_embeddings(src, tgt, mode="all", with_trace=True)
+    assert len(out.certificates) == 4 * 6  # four node maps, six ways to route
+    hits = []
+
+    def walk(node):
+        if node.prune and node.prune["reason"] == "distance":
+            hits.append(node.prune)
+        for child in node.children:
+            walk(child)
+
+    walk(out.trace)
+    assert out.prunes["distance"] == len(hits) > 0
+    assert all(p["target_distance"] is None for p in hits)
+    assert {p["source_distance"] for p in hits} == {"1/1"}
 
 
 def test_degree_prune_reason():

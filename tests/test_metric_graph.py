@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from braidcat.metric_graph import (
-    INFINITY,
     MetricGraph,
     brady_link,
     format_length,
@@ -42,7 +41,13 @@ def test_distance():
     assert g.distance("p", "r") == F(5, 6)
     assert g.distance("p", "p") == 0
     lonely = MetricGraph(("p", "q"), ())
-    assert lonely.distance("p", "q") == INFINITY
+    assert lonely.distance("p", "q") is None
+
+
+def test_long_distance_is_reachable():
+    # a length that a large stand-in for infinity would swallow
+    g = MetricGraph(("a", "b"), (("a", "b", F(1000000001)),))
+    assert g.distance("a", "b") == F(1000000001)
 
 
 def test_distance_prefers_short_way_round():
@@ -76,8 +81,14 @@ def test_girth_triangle_with_chord():
 
 
 def test_girth_forest_is_infinite():
-    assert path_graph().girth() == INFINITY
-    assert path_graph().girth_exhaustive() == INFINITY
+    assert path_graph().girth() is None
+    assert path_graph().girth_exhaustive() is None
+
+
+def test_long_cycle_has_a_girth():
+    g = MetricGraph(("a", "b"), (("a", "b", F(1000000000)), ("a", "b", F(1))))
+    assert g.girth() == F(1000000001)
+    assert g.girth_exhaustive() == F(1000000001)
 
 
 def test_girth_algorithms_agree_random():
