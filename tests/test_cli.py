@@ -271,6 +271,16 @@ def test_no_cycle_and_no_path_render_as_null(tmp_path, capsys):
     assert code == 0 and out.strip() == "unreachable"
     code, payload = run_json(capsys, "graph", "dist", str(path), "a", "c")
     assert payload["distance"] is None
+    # one triangle: the link of a corner is a single arc
+    triangle = tmp_path / "triangle.txt"
+    triangle.write_text(
+        "vertex p\nvertex q\nvertex r\nedge a p q\nedge b q r\nedge c p r\n"
+        "triangle a+ b+ c- 1/3 1/3 1/3\n"
+    )
+    code, out, _ = run(capsys, "complex", "cat0", str(triangle), "--vertex", "p")
+    assert "girth none (deletion) = none (enumeration)" in out
+    code, payload = run_json(capsys, "complex", "cat0", str(triangle), "--vertex", "p")
+    assert payload["girth_by_deletion"] is None and payload["girth_by_enumeration"] is None
 
 
 def test_graph_dist_unknown_node(capsys):
