@@ -27,11 +27,11 @@ from .cosets import Enumeration, OverflowResult, Presentation, enumerate_cosets,
 from .embed import find_embeddings, verify_embedding
 from .garside import (
     NormalForm,
-    check_presentation,
     conjugation_orbit,
     equals,
     is_central,
     normal_form,
+    presentation_differences,
     presentation_equalities,
 )
 from .metric_graph import MetricGraph, brady_link, format_length, parse_length
@@ -160,7 +160,7 @@ class _Context:
 
     # shared claims ------------------------------------------------------
 
-    def presentation(self, e: str, f: str) -> dict[str, bool]:
+    def presentation(self, e: str, f: str) -> dict[str, NormalForm]:
         return self.once(f"presentation:{e}:{f}", lambda: presentation_results(e, f))
 
     def index(self, name: str):
@@ -220,11 +220,12 @@ def _enum_witness(result) -> dict:
 # claims the command line shows too; the catalogue and the CLI render these
 
 
-def presentation_results(e: str = "e", f: str = "f") -> dict[str, bool]:
-    """The ten band-presentation equalities, label -> holds, for the
+def presentation_results(e: str = "e", f: str = "f") -> dict[str, NormalForm]:
+    """The ten band-presentation equalities, label -> normal form of
+    lhs rhs^-1 (the identity when the equality holds), for the
     dictionary words named ``e`` and ``f`` (``d`` is fixed)."""
     W = fixtures.WORDS
-    return dict(check_presentation(W[e], W[f], W["d"]))
+    return dict(presentation_differences(W[e], W[f], W["d"]))
 
 
 def index_runs(
@@ -311,12 +312,10 @@ def certificates_verified(source: MetricGraph, target: MetricGraph, certificates
     )
 
 
-def link_girths(link: MetricGraph) -> tuple[Fraction, Fraction, bool]:
-    """The girth of a link by arc deletion and by cycle enumeration, and
-    whether both are exactly 2 pi: the flatness condition at the vertex."""
-    by_deletion = link.girth()
-    by_enumeration = link.girth_exhaustive()
-    return by_deletion, by_enumeration, by_deletion == by_enumeration == Fraction(2)
+def link_girths(link: MetricGraph) -> tuple[Fraction | None, Fraction | None]:
+    """The girth of a link by arc deletion and by cycle enumeration;
+    None when the link has no cycle.  Both exactly 2 pi is flatness."""
+    return link.girth(), link.girth_exhaustive()
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +331,11 @@ def _build_catalogue(ctx: _Context):
     def presentation_check(label):
         def run():
             lhs, rhs = label.split("=")
-            # the equality as one word, lhs rhs^-1, in the dictionary
-            difference = substitute(parse(lhs + rhs[::-1].upper()), W)
-            return _status(ctx.presentation("e", "f")[label]), {
+            difference = ctx.presentation("e", "f")[label]
+            return _status(difference.is_identity), {
                 "left": lhs,
                 "right": rhs,
-                "normal_form": _nf_str(difference),
+                "normal_form": str(difference),
             }
 
         return run
@@ -359,10 +357,12 @@ def _build_catalogue(ctx: _Context):
 
         def run():
             candidate = ctx.presentation(candidate_e, candidate_f)
-            ok = all(ctx.presentation("e", "f").values()) and not all(candidate.values())
+            failures = sorted(k for k, nf in candidate.items() if not nf.is_identity)
+            resolved = ctx.presentation("e", "f").values()
+            ok = all(nf.is_identity for nf in resolved) and bool(failures)
             witness = {
                 "candidate": str(W[f"{name}-candidate"]),
-                "candidate_failures": sorted(k for k, v in candidate.items() if not v),
+                "candidate_failures": failures,
                 "resolved": str(W[name]),
             }
             return (f"resolved:{name}={W[name]}" if ok else "fail"), witness
@@ -805,8 +805,9 @@ def _build_catalogue(ctx: _Context):
     )
 
     def link_girth():
-        by_deletion, by_enumeration, ok = link_girths(ctx.link)
-        return _status(ok), {
+        by_deletion, by_enumeration = link_girths(ctx.link)
+        flat = by_deletion == by_enumeration == Fraction(2)
+        return _status(flat), {
             "deletion": format_length(by_deletion),
             "enumeration": format_length(by_enumeration),
         }
@@ -821,8 +822,9 @@ def _build_catalogue(ctx: _Context):
     )
 
     def wing_girth():
-        by_deletion, _, ok = link_girths(ctx.wing_link)
-        return _status(ok), {"girth": format_length(by_deletion)}
+        by_deletion, by_enumeration = link_girths(ctx.wing_link)
+        flat = by_deletion == by_enumeration == Fraction(2)
+        return _status(flat), {"girth": format_length(by_deletion)}
 
     checks.append(
         (
@@ -885,12 +887,12 @@ def _build_catalogue(ctx: _Context):
     def brady_graph():
         g = brady_link()
         lengths = sorted(length for _, _, length in g.arcs)
-        by_deletion, _, flat = link_girths(g)
+        by_deletion, by_enumeration = link_girths(g)
         ok = (
             len(g.nodes) == 8
             and g.degree_multiset() == (3,) * 8
             and lengths == [THIRD] * 8 + [Fraction(2, 3)] * 4
-            and flat
+            and by_deletion == by_enumeration == Fraction(2)
         )
         return _status(ok), {"girth": format_length(by_deletion)}
 

@@ -188,7 +188,7 @@ def _cmd_garside_orbit(args) -> int:
 
 
 def _cmd_garside_audit_presentation(args) -> int:
-    results = presentation_results()
+    results = {label: nf.is_identity for label, nf in presentation_results().items()}
     payload = {
         "dictionary": {name: str(fixtures.WORDS[name]) for name in ("e", "f", "d")},
         "equalities": results,
@@ -338,23 +338,25 @@ def _cmd_complex_link(args) -> int:
 
 def _cmd_complex_cat0(args) -> int:
     link = _load_link(args)
-    by_deletion, by_enumeration, flat = link_girths(link)
+    by_deletion, by_enumeration = link_girths(link)
+    # the link condition: no cycle, or girth at least 2 pi
+    ok = by_deletion == by_enumeration and (by_deletion is None or by_deletion >= 2)
     payload = {
         "vertex": args.vertex,
         "link_nodes": len(link.nodes),
         "link_arcs": len(link.arcs),
         "girth_by_deletion": _length_or_none(by_deletion),
         "girth_by_enumeration": _length_or_none(by_enumeration),
-        "girth_at_least_two_pi": flat,
+        "girth_at_least_two_pi": ok,
     }
     text = (
         f"link of {args.vertex}: {len(link.nodes)} nodes, {len(link.arcs)} arcs\n"
         f"girth {_pi_or_none(by_deletion)} (deletion) "
         f"= {_pi_or_none(by_enumeration)} (enumeration)\n"
-        f"nonpositively curved at {args.vertex}: {'yes' if flat else 'NO'}"
+        f"nonpositively curved at {args.vertex}: {'yes' if ok else 'NO'}"
     )
     _emit(payload, text, args.json)
-    return 0 if flat else 1
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,12 @@ Arithmetic: the search runs on integers.  Every arc length of both
 graphs, and every distance between their nodes, is a multiple of 1/L,
 where L is the least common multiple of the arc lengths' denominators,
 so routing budgets and distance comparisons are exact integer
-operations on lengths measured in units of 1/L.  Lengths turn back
-into fractions only where they are reported.  The decision tree is
-built only when a trace is requested; without one the search keeps
-just its counters (nodes explored, prunes by reason), which are the
-same either way.
+operations on lengths measured in units of 1/L.  Each graph's distance
+table comes from one ``distances_from`` search per node, n searches
+for n nodes.  Lengths turn back into fractions only where they are
+reported.  The decision tree is built only when a trace is requested;
+without one the search keeps just its counters (nodes explored,
+prunes by reason), which are the same either way.
 
 Root symmetry: the image of the first source node may be restricted to
 one representative per orbit of a supplied group of target
@@ -323,10 +324,8 @@ class _Search:
         """Scaled distances by source then target; None where unreachable."""
         table: dict[str, dict[str, int | None]] = {}
         for u in graph.nodes:
-            row = table[u] = {}
-            for v in graph.nodes:
-                d = graph.distance(u, v)
-                row[v] = None if d is None else self._scaled(d)
+            reach = graph.distances_from(u)
+            table[u] = {v: self._scaled(reach[v]) if v in reach else None for v in graph.nodes}
         return table
 
     def run(self) -> SearchOutcome:

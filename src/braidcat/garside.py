@@ -42,6 +42,7 @@ __all__ = [
     "conjugation_orbit",
     "presentation_equalities",
     "check_presentation",
+    "presentation_differences",
 ]
 
 Perm = tuple[int, int, int, int]
@@ -291,9 +292,10 @@ def presentation_equalities() -> tuple[tuple[str, str, str], ...]:
     )
 
 
-def check_presentation(e: Word, f: Word, d: Word) -> list[tuple[str, bool]]:
-    """Check the six-generator equalities for given expressions of d, e, f
-    as words in a, b, c.  Returns one (label, holds) pair per equality.
+def presentation_differences(e: Word, f: Word, d: Word) -> list[tuple[str, NormalForm]]:
+    """Normal forms of the six-generator equalities for given expressions
+    of d, e, f as words in a, b, c: one (label, normal form of lhs rhs^-1)
+    pair per equality, which holds exactly when that form is the identity.
 
     The six generators and ten equalities are the Birman-Ko-Lee band
     presentation of the four-strand braid group (Birman-Ko-Lee 1998):
@@ -315,5 +317,10 @@ def check_presentation(e: Word, f: Word, d: Word) -> list[tuple[str, bool]]:
     for label, lhs, rhs in presentation_equalities():
         left = substitute(parse(lhs), images)
         right = substitute(parse(rhs), images)
-        results.append((label, equals(left, right)))
+        results.append((label, normal_form(left * right.inverse())))
     return results
+
+
+def check_presentation(e: Word, f: Word, d: Word) -> list[tuple[str, bool]]:
+    """One (label, holds) pair per equality of :func:`presentation_differences`."""
+    return [(label, nf.is_identity) for label, nf in presentation_differences(e, f, d)]

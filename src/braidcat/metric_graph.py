@@ -11,6 +11,10 @@ contains an embedded cycle of no greater length, so two independent
 computations are provided: one deletes each arc in turn and asks for a
 shortest path between its endpoints, the other enumerates embedded
 cycles outright.  They must agree, and the test suite insists on it.
+
+Distances come from one Dijkstra loop, ``distances_from``, which
+settles every node a source reaches in one search; ``distance`` reads
+one pair from it, and an all-pairs table costs one search per node.
 """
 
 from __future__ import annotations
@@ -74,30 +78,32 @@ class MetricGraph:
 
     # -- metric ---------------------------------------------------------
 
-    def distance(
-        self, source: str, target: str, skip_arc: int | None = None
-    ) -> Fraction | None:
-        """Exact shortest-path distance; None when disconnected."""
-        dist = {source: Fraction(0)}
-        heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
+    def distances_from(self, source: str, skip_arc: int | None = None) -> dict[str, Fraction]:
+        """Exact shortest-path distance from ``source`` to every node it
+        reaches, without arc ``skip_arc``; unreachable nodes are left out."""
         adjacency: dict[str, list[tuple[str, Fraction]]] = {n: [] for n in self.nodes}
         for i, (u, v, length) in enumerate(self.arcs):
-            if i == skip_arc:
-                continue
-            adjacency[u].append((v, length))
-            adjacency[v].append((u, length))
+            if i != skip_arc:
+                adjacency[u].append((v, length))
+                adjacency[v].append((u, length))
+        dist = {source: Fraction(0)}
+        settled: set[str] = set()
+        heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
         while heap:
             d, node = heapq.heappop(heap)
-            if node == target:
-                return d
-            if d > dist[node]:
+            if node in settled:
                 continue
+            settled.add(node)
             for other, length in adjacency[node]:
                 nd = d + length
                 if other not in dist or nd < dist[other]:
                     dist[other] = nd
                     heapq.heappush(heap, (nd, other))
-        return None
+        return dist
+
+    def distance(self, source: str, target: str, skip_arc: int | None = None) -> Fraction | None:
+        """Exact shortest-path distance; None when disconnected."""
+        return self.distances_from(source, skip_arc).get(target)
 
     def girth(self) -> Fraction | None:
         """Shortest embedded cycle, via deletion of each arc in turn;

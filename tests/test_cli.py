@@ -5,13 +5,14 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from braidcat.audit import run_audit
 from braidcat.cli import main
 from braidcat.complexes import TriComplex
-from braidcat.metric_graph import MetricGraph
+from braidcat.metric_graph import MetricGraph, format_length
 
 
 def run(capsys, *argv):
@@ -279,8 +280,44 @@ def test_no_cycle_and_no_path_render_as_null(tmp_path, capsys):
     )
     code, out, _ = run(capsys, "complex", "cat0", str(triangle), "--vertex", "p")
     assert "girth none (deletion) = none (enumeration)" in out
+    # a link with no cycle satisfies the link condition
+    assert code == 0 and "nonpositively curved at p: yes" in out
     code, payload = run_json(capsys, "complex", "cat0", str(triangle), "--vertex", "p")
     assert payload["girth_by_deletion"] is None and payload["girth_by_enumeration"] is None
+    assert code == 0 and payload["girth_at_least_two_pi"] is True
+
+
+def fan(angle_at_p):
+    """Three triangles around p; the link of p is a three-cycle of arcs
+    of length ``angle_at_p``."""
+    rim = (1 - angle_at_p) / 2
+    lines = ["vertex p"] + [f"vertex q{i}" for i in range(3)]
+    lines += [f"edge s{i} p q{i}" for i in range(3)]
+    lines += [f"edge r{i} q{i} q{(i + 1) % 3}" for i in range(3)]
+    lines += [
+        f"triangle s{i}+ r{i}+ s{(i + 1) % 3}- "
+        f"{format_length(rim)} {format_length(rim)} {format_length(angle_at_p)}"
+        for i in range(3)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "angle_at_p, girth, code, verdict",
+    [
+        (Fraction(4, 5), "12/5", 0, "yes"),  # girth above 2 pi
+        (Fraction(1, 3), "1/1", 1, "NO"),  # girth below 2 pi
+    ],
+)
+def test_complex_cat0_is_the_link_condition(tmp_path, capsys, angle_at_p, girth, code, verdict):
+    path = tmp_path / "fan.txt"
+    path.write_text(fan(angle_at_p))
+    got, out, _ = run(capsys, "complex", "cat0", str(path), "--vertex", "p")
+    assert got == code and f"nonpositively curved at p: {verdict}" in out
+    got, payload = run_json(capsys, "complex", "cat0", str(path), "--vertex", "p")
+    assert got == code
+    assert payload["girth_by_deletion"] == payload["girth_by_enumeration"] == girth
+    assert payload["girth_at_least_two_pi"] is (code == 0)
 
 
 def test_graph_dist_unknown_node(capsys):
