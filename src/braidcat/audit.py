@@ -8,7 +8,16 @@ witness dictionary with the numbers behind the verdict.  Statuses:
   * ``resolved:<text>``: the inputs offered competing candidates (or a
     stated value contradicted by computation) and the check pins down
     the variant the mathematics forces; these count as passing;
-  * ``inconclusive``: a resource cap was hit, nothing is asserted.
+  * ``inconclusive``: a resource cap was hit, nothing is asserted;
+  * ``error``: the check raised; the witness names the exception and its
+    message, and the check counts as failed.
+
+Each check is a module-level function ``fn(ctx, *args)`` that returns
+(status, witness) and is registered by ``@_check(ident, claim, *args)``;
+a family registers one function several times with different
+arguments.  The table is built once, at import, in identifier order,
+and holds only functions and small constant arguments, so every word
+product and normal form is computed when a check runs.
 
 The exit-code convention for command line use: 0 when nothing failed,
 1 when any check failed, 2 when nothing failed but something was
@@ -19,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import fixtures
@@ -177,6 +187,10 @@ class _Context:
             lambda: conjugation_orbit(words[g], words[seed], convention=convention),
         )
 
+    def power(self, name: str, k: int) -> NormalForm:
+        """The normal form of the k-th power of a dictionary word."""
+        return self.once(f"power:{name}:{k}", lambda: normal_form(fixtures.WORDS[name] ** k))
+
     # geometry -----------------------------------------------------------
 
     @property
@@ -200,10 +214,6 @@ class _Context:
             )
 
         return self.once("main-search", run)
-
-
-def _nf_str(word: Word) -> str:
-    return str(normal_form(word))
 
 
 def _status(ok: bool) -> str:
@@ -321,717 +331,573 @@ def link_girths(link: MetricGraph) -> tuple[Fraction | None, Fraction | None]:
 # ---------------------------------------------------------------------------
 # the catalogue
 
+# ident -> (claim, check function, bound arguments), filled at import by @_check
+_CATALOGUE: dict[str, tuple[str, Callable, tuple]] = {}
 
-def _build_catalogue(ctx: _Context):
-    checks: list[tuple[str, str, object]] = []
+
+def _check(ident: str, claim: str, *args):
+    """Register the decorated ``fn(ctx, *args)`` as the check ``ident``."""
+
+    def register(fn):
+        if ident in _CATALOGUE:
+            raise ValueError(f"duplicate check identifier {ident!r}")
+        _CATALOGUE[ident] = (claim, fn, args)
+        return fn
+
+    return register
+
+
+# -- the six-generator presentation -----------------------------------------
+
+
+def _presentation(ctx, label):
+    lhs, rhs = label.split("=")
+    difference = ctx.presentation("e", "f")[label]
+    return _status(difference.is_identity), {
+        "left": lhs,
+        "right": rhs,
+        "normal_form": str(difference),
+    }
+
+
+for _label, _, _ in presentation_equalities():
+    _check(
+        f"presentation:{_label}",
+        f"the relation {_label} holds for the resolved dictionary",
+        _label,
+    )(_presentation)
+
+
+# -- dictionary resolutions -------------------------------------------------
+
+
+@_check(
+    "dictionary:e",
+    "of the two conjugates of b by a, only a^-1 b a satisfies the relations",
+    "e", "e-candidate", "f-candidate",
+)
+@_check(
+    "dictionary:f",
+    "of the two conjugates of b by c, only c^-1 b c satisfies the relations",
+    "f", "e", "f-candidate",
+)
+def _resolve_conjugate(ctx, name, candidate_e, candidate_f):
+    """The resolved word for ``name`` satisfies every equality; the
+    dictionary with the candidates (candidate_e, candidate_f) does not."""
     W = fixtures.WORDS
+    candidate = ctx.presentation(candidate_e, candidate_f)
+    failures = sorted(k for k, nf in candidate.items() if not nf.is_identity)
+    resolved = ctx.presentation("e", "f").values()
+    ok = all(nf.is_identity for nf in resolved) and bool(failures)
+    witness = {
+        "candidate": str(W[f"{name}-candidate"]),
+        "candidate_failures": failures,
+        "resolved": str(W[name]),
+    }
+    return (f"resolved:{name}={W[name]}" if ok else "fail"), witness
 
-    # -- the six-generator presentation ---------------------------------
 
-    def presentation_check(label):
-        def run():
-            lhs, rhs = label.split("=")
-            difference = ctx.presentation("e", "f")[label]
-            return _status(difference.is_identity), {
-                "left": lhs,
-                "right": rhs,
-                "normal_form": str(difference),
-            }
+@_check("dictionary:bhat", "the twisted conjugate y^2 a y^-2 is c^-2 b c^2, not c^-1 b c^2")
+def _resolve_bhat(ctx):
+    W = fixtures.WORDS
+    target = W["y"] ** 2 * W["a"] * W["y"] ** -2
+    good = equals(W["bhat"], target)
+    bad = equals(W["bhat-candidate"], target)
+    alt = equals(parse("bccbCCB"), target)
+    ok = good and not bad and alt
+    witness = {
+        "target": "y^2 a y^-2",
+        "resolved": str(W["bhat"]),
+        "rejected": str(W["bhat-candidate"]),
+        "also_equals": "b c^2 b C^2 B",
+    }
+    return ("resolved:bhat=C^2 b c^2" if ok else "fail"), witness
 
-        return run
 
-    for label, _, _ in presentation_equalities():
-        checks.append(
-            (
-                f"presentation:{label}",
-                f"the relation {label} holds for the resolved dictionary",
-                presentation_check(label),
-            )
-        )
+@_check("dictionary:c-from-xy", "c is recovered from the products as x^-1 y and not as x y^-1")
+def _resolve_c(ctx):
+    W = fixtures.WORDS
+    good = equals(W["c"], W["x"].inverse() * W["y"])
+    # x y^-1 c^-1 is the identity exactly when c = x y^-1
+    difference = normal_form(W["x"] * W["y"].inverse() * W["c"].inverse())
+    witness = {
+        "resolved": "c = x^-1 y",
+        "rejected": "c = x y^-1",
+        "normal_form_difference": str(difference),
+    }
+    return ("resolved:c=X y" if good and not difference.is_identity else "fail"), witness
 
-    # -- dictionary resolutions -----------------------------------------
 
-    def resolve_conjugate(name, candidate_e, candidate_f):
-        """The resolved word for ``name`` satisfies every equality; the
-        dictionary with the candidates (candidate_e, candidate_f) does not."""
-
-        def run():
-            candidate = ctx.presentation(candidate_e, candidate_f)
-            failures = sorted(k for k, nf in candidate.items() if not nf.is_identity)
-            resolved = ctx.presentation("e", "f").values()
-            ok = all(nf.is_identity for nf in resolved) and bool(failures)
-            witness = {
-                "candidate": str(W[f"{name}-candidate"]),
-                "candidate_failures": failures,
-                "resolved": str(W[name]),
-            }
-            return (f"resolved:{name}={W[name]}" if ok else "fail"), witness
-
-        return run
-
-    for name, by, candidate_e, candidate_f in (
-        ("e", "a", "e-candidate", "f-candidate"),
-        ("f", "c", "e", "f-candidate"),
-    ):
-        checks.append(
-            (
-                f"dictionary:{name}",
-                f"of the two conjugates of b by {by}, only {by}^-1 b {by} satisfies "
-                "the relations",
-                resolve_conjugate(name, candidate_e, candidate_f),
-            )
-        )
-
-    def resolve_bhat():
-        target = W["y"] ** 2 * W["a"] * W["y"] ** -2
-        good = equals(W["bhat"], target)
-        bad = equals(W["bhat-candidate"], target)
-        alt = equals(parse("bccbCCB"), target)
-        ok = good and not bad and alt
-        witness = {
-            "target": "y^2 a y^-2",
-            "resolved": str(W["bhat"]),
-            "rejected": str(W["bhat-candidate"]),
-            "also_equals": "b c^2 b C^2 B",
-        }
-        return ("resolved:bhat=C^2 b c^2" if ok else "fail"), witness
-
-    checks.append(
-        (
-            "dictionary:bhat",
-            "the twisted conjugate y^2 a y^-2 is c^-2 b c^2, not c^-1 b c^2",
-            resolve_bhat,
-        )
+@_check(
+    "convention:conjugation", "w -> g w g^-1 realises the documented orbits; the opposite does not"
+)
+def _resolve_convention(ctx):
+    W = fixtures.WORDS
+    left = ctx.orbit("x", "a", "left")
+    ok = (
+        len(left) == 4
+        and equals(left[1], W["e"])
+        and equals(left[2], W["c"])
+        and equals(left[3], W["f"])
     )
+    right = ctx.orbit("x", "a", "right")
+    right_matches = equals(right[1], W["e"])
+    witness = {
+        "left_orbit": [str(w) for w in left],
+        "right_first_step_is_e": right_matches,
+    }
+    return ("resolved:left" if ok and not right_matches else "fail"), witness
 
-    def resolve_c():
-        good = equals(W["c"], W["x"].inverse() * W["y"])
-        bad = equals(W["c"], W["x"] * W["y"].inverse())
-        witness = {
-            "resolved": "c = x^-1 y",
-            "rejected": "c = x y^-1",
-            "normal_form_difference": _nf_str(W["x"] * W["y"].inverse() * W["c"].inverse()),
-        }
-        return ("resolved:c=X y" if good and not bad else "fail"), witness
 
-    checks.append(
-        (
-            "dictionary:c-from-xy",
-            "c is recovered from the products as x^-1 y and not as x y^-1",
-            resolve_c,
-        )
+# -- centre -----------------------------------------------------------------
+
+
+@_check(
+    "center:full-twist", "the fourth power of x and the third power of y are both the full twist"
+)
+def _center_powers(ctx):
+    nf_x4, nf_y3 = ctx.power("x", 4), ctx.power("y", 3)
+    return _status(nf_x4 == nf_y3 == FULL_TWIST), {
+        "nf_x4": str(nf_x4),
+        "nf_y3": str(nf_y3),
+    }
+
+
+@_check("center:z-central", "the full twist commutes with all three crossings")
+def _center_central(ctx):
+    return _status(is_central(fixtures.WORDS["x"] ** 4)), {}
+
+
+@_check("center:x2-not-central", "the half power x^2 is not central (negative control)")
+def _center_x2(ctx):
+    x2 = fixtures.WORDS["x"] ** 2
+    return _status(not is_central(x2)), {"nf_x2": str(normal_form(x2))}
+
+
+# -- orbits -----------------------------------------------------------------
+
+
+@_check(
+    "orbit:x-a", "conjugation by x cycles a -> e -> c -> f with period four",
+    "x", "a", ("a", "e", "c", "f"),
+)
+@_check("orbit:x-b", "conjugation by x swaps b and d", "x", "b", ("b", "d"))
+@_check(
+    "orbit:y-a", "conjugation by y cycles a -> e -> bhat with period three",
+    "y", "a", ("a", "e", "bhat"),
+)
+@_check(
+    "orbit:y-c", "conjugation by y cycles c -> f -> d with period three", "y", "c", ("c", "f", "d")
+)
+def _orbit(ctx, g, seed, expected):
+    orbit = ctx.orbit(g, seed, ctx.convention)
+    ok = len(orbit) == len(expected) and all(
+        equals(w, fixtures.WORDS[name]) for w, name in zip(orbit, expected)
     )
+    return _status(ok), {
+        "orbit": list(expected),
+        "period": len(orbit),
+        "convention": ctx.convention,
+    }
 
-    def resolve_convention():
-        left = ctx.orbit("x", "a", "left")
-        ok = (
-            len(left) == 4
-            and equals(left[1], W["e"])
-            and equals(left[2], W["c"])
-            and equals(left[3], W["f"])
-        )
-        right = ctx.orbit("x", "a", "right")
-        right_matches = equals(right[1], W["e"])
-        witness = {
-            "left_orbit": [str(w) for w in left],
-            "right_first_step_is_e": right_matches,
-        }
-        return ("resolved:left" if ok and not right_matches else "fail"), witness
 
-    checks.append(
-        (
-            "convention:conjugation",
-            "w -> g w g^-1 realises the documented orbits; the opposite does not",
-            resolve_convention,
-        )
+# -- exact identities -------------------------------------------------------
+
+
+@_check("identity:a", "a equals x y x^-2 exactly, not merely up to the centre", "a", "x y x^-2")
+@_check("identity:b", "b equals x c^-1 a^-1 exactly", "b", "x c^-1 a^-1")
+@_check("identity:b-conjugate", "b is the conjugate e^-1 a e", "b", "e^-1 a e")
+def _identity(ctx, name, product):
+    """``product`` is a word in the one-letter names of the dictionary."""
+    W = fixtures.WORDS
+    difference = normal_form(W[name] * substitute(parse(product), W).inverse())
+    return _status(difference.is_identity), {"difference_nf": str(difference)}
+
+
+@_check("relator:long", "the ten-letter relator in x and y is exactly trivial in the braid group")
+def _long_relator(ctx):
+    W = fixtures.WORDS
+    r = parse(fixtures.G0_RELATORS[-1], ALPHABET_XY)
+    nf = normal_form(substitute(r, {"x": W["x"], "y": W["y"]}))
+    return _status(nf.is_identity), {"relator": str(r), "normal_form": str(nf)}
+
+
+@_check("relator:x4", "x^4 is trivial modulo the centre (it is the full twist)", "x", 4)
+@_check("relator:y3", "y^3 is trivial modulo the centre (it is the full twist)", "y", 3)
+def _relator_central(ctx, name, power):
+    nf = ctx.power(name, power)
+    return _status(nf == FULL_TWIST), {"normal_form": str(nf)}
+
+
+# -- wing relations ---------------------------------------------------------
+
+
+@_check("wing:1", "wing 1 satisfies u v = v w = w u in the braid group", "a", "e", 0)
+@_check("wing:2", "wing 2 satisfies u v = v w = w u in the braid group", "e", "bhat", 1)
+@_check("wing:3", "wing 3 satisfies u v = v w = w u in the braid group", "bhat", "a", 2)
+def _wing(ctx, u_name, v_name, k):
+    """Wing k has u, v the named dictionary words and w = y^k b y^-k."""
+    W = fixtures.WORDS
+    u, v, w = W[u_name], W[v_name], W["y"] ** k * W["b"] * W["y"] ** -k
+    # equal braids have equal normal forms
+    uv, vw, wu = normal_form(u * v), normal_form(v * w), normal_form(w * u)
+    return _status(uv == vw == wu), {"uv_nf": str(uv), "vw_nf": str(vw), "wu_nf": str(wu)}
+
+
+# -- coset enumerations -----------------------------------------------------
+
+
+@_check(
+    "index:four",
+    "the marked subgroup has index four, by both strategies, verified",
+    "index-four", 4,
+)
+@_check("index:whole-xy", "the pair x, y generates everything (index one)", "whole-group-xy", 1)
+@_check(
+    "index:whole-ax", "the pair x y x^-2, x generates everything (index one)", "whole-group-ax", 1
+)
+def _index(ctx, name, expected):
+    runs = ctx.index(name)
+    witness = {strategy: _enum_witness(result) for strategy, (result, _) in runs.items()}
+    if not all(isinstance(result, Enumeration) for result, _ in runs.values()):
+        return "inconclusive", witness
+    verified = all(ok for _, ok in runs.values())
+    witness["tables_verified"] = verified
+    ok = {result.count for result, _ in runs.values()} == {expected} and verified
+    if name == "index-four":
+        defined = max(result.defined for result, _ in runs.values())
+        witness["defined_below_thousand"] = defined < 1000
+        ok = ok and witness["defined_below_thousand"]
+    return _status(ok), witness
+
+
+@_check(
+    "index:matrix-pair",
+    "the pair S^2 T, S^3 T generates the whole matrix group: index one, not the stated four",
+)
+def _matrix_pair_index(ctx):
+    status, witness = _index(ctx, "matrix-pair", 1)
+    witness["stated"] = 4
+    if status == "inconclusive":
+        return status, witness
+    st = {"S": MAT_S, "T": MAT_T}
+    u = evaluate_matrix(parse("S^3 T", ALPHABET_ST), st)
+    v = evaluate_matrix(parse("S^2 T", ALPHABET_ST), st)
+    quotient_is_s = mat_mul(u, mat_inv(v)) == MAT_S
+    witness["quotient_of_generators_is_S"] = quotient_is_s
+    return ("resolved:1" if status == "pass" and quotient_is_s else "fail"), witness
+
+
+# -- representations --------------------------------------------------------
+
+
+@_check("matrix:relators", "sending x to S and y to -ST kills all three relators")
+def _matrix_relators(ctx):
+    killed = {r["text"]: r["identity"] for r in ctx.once("matrices", matrix_claims)["relators"]}
+    return _status(all(killed.values())), {"relators_killed": killed}
+
+
+@_check("matrix:minus-t", "the subgroup generator x y x^-2 maps to -T")
+def _matrix_minus_t(ctx):
+    claims = ctx.once("matrices", matrix_claims)
+    return _status(claims["is_minus_t"]), {"image": claims["minus_t"]}
+
+
+@_check("perm:images", "on strand endpoints x is a four-cycle and y a three-cycle fixing the last")
+def _perm_images(ctx):
+    claims = ctx.once("strands", strand_claims)
+    ok = all(claims["facts"]["perm:images"].values())
+    return _status(ok), {
+        "x_image": list(claims["x"]),
+        "y_image": list(claims["y"]),
+        "composition": COMPOSITION_CONVENTION,
+    }
+
+
+@_check(
+    "perm:stabilizer",
+    "the images of a and y generate exactly the stabiliser of the last endpoint, of order six",
+)
+def _perm_stabilizer(ctx):
+    claims = ctx.once("strands", strand_claims)
+    ok = all(claims["facts"]["perm:stabilizer"].values())
+    return _status(ok), {
+        "subgroup_order": len(claims["subgroup"]),
+        "group_order": len(claims["group"]),
+    }
+
+
+@_check(
+    "perm:coset-match",
+    "the coset action of x and y has the same cycle structure as the strand action",
+)
+def _perm_coset_match(ctx):
+    enum, _ = ctx.index("index-four")["hlt"]
+    if not isinstance(enum, Enumeration):
+        return "inconclusive", {}
+    strand = {g: cycle_type(ctx.once("strands", strand_claims)[g]) for g in ("x", "y")}
+    # the table's images are 1-based
+    coset = {g: cycle_type(tuple(i - 1 for i in enum.action[g])) for g in ("x", "y")}
+    return _status(strand == coset), {"strand": strand, "coset": coset}
+
+
+# -- complexes and links ----------------------------------------------------
+
+
+@_check(
+    "complex:wing",
+    "one wing: a torus-like complex with four edges, three triangles, and an eight-node link",
+)
+def _wing_complex(ctx):
+    cx = ybar1()
+    link = ctx.wing_link
+    ok = (
+        len(cx.vertices) == 1
+        and len(cx.edges) == 4
+        and len(cx.triangles) == 3
+        and cx.euler_characteristic() == 0
+        and len(link.nodes) == 8
+        and len(link.arcs) == 9
+        and link.degree_multiset() == (2, 2, 2, 2, 2, 2, 3, 3)
     )
+    return _status(ok), {
+        "euler": cx.euler_characteristic(),
+        "link_nodes": len(link.nodes),
+        "link_arcs": len(link.arcs),
+    }
 
-    # -- centre ----------------------------------------------------------
 
-    def center_powers():
-        nf_x4, nf_y3 = normal_form(W["x"] ** 4), normal_form(W["y"] ** 3)
-        return _status(nf_x4 == nf_y3 == FULL_TWIST), {
-            "nf_x4": str(nf_x4),
-            "nf_y3": str(nf_y3),
-        }
-
-    checks.append(
-        (
-            "center:full-twist",
-            "the fourth power of x and the third power of y are both the full twist",
-            center_powers,
-        )
+@_check("complex:glued", "three wings glue to one vertex, nine edges, nine equilateral triangles")
+def _glued_complex(ctx):
+    cx = x1bar()
+    ok = (
+        len(cx.vertices) == 1
+        and len(cx.edges) == 9
+        and len(cx.triangles) == 9
+        and cx.euler_characteristic() == 1
+        and all(angle == THIRD for t in cx.triangles for angle in t.angles)
     )
+    return _status(ok), {"euler": cx.euler_characteristic()}
 
-    checks.append(
-        (
-            "center:z-central",
-            "the full twist commutes with all three crossings",
-            lambda: (_status(is_central(W["x"] ** 4)), {}),
-        )
+
+@_check(
+    "link:census", "the glued-complex link has 18 direction nodes and 27 corner arcs of length pi/3"
+)
+def _link_census(ctx):
+    link = ctx.link
+    degree = link.degrees()
+    ok = (
+        len(link.nodes) == 18
+        and len(link.arcs) == 27
+        and all(length == THIRD for _, _, length in link.arcs)
+        and all(degree[g + s] == 4 for g in ("a", "e", "B^") for s in "+-")
+        and all(degree[f"t{i}" + s] == 3 for i in (1, 2, 3) for s in "+-")
+        and all(degree[f"b{i}" + s] == 2 for i in (1, 2, 3) for s in "+-")
     )
+    return _status(ok), {
+        "nodes": len(link.nodes),
+        "arcs": len(link.arcs),
+        "degree_multiset": sorted(degree.values()),
+    }
 
-    checks.append(
-        (
-            "center:x2-not-central",
-            "the half power x^2 is not central (negative control)",
-            lambda: (_status(not is_central(W["x"] ** 2)), {"nf_x2": _nf_str(W["x"] ** 2)}),
-        )
+
+@_check("link:bipartite", "the glued-complex link is bipartite")
+def _link_bipartite(ctx):
+    return _status(ctx.link.is_bipartite()), {}
+
+
+@_check(
+    "link:girth",
+    "the shortest loop in the glued-complex link is 2 pi: the flatness condition holds at "
+    "the vertex",
+)
+def _link_girth(ctx):
+    by_deletion, by_enumeration = link_girths(ctx.link)
+    flat = by_deletion == by_enumeration == Fraction(2)
+    return _status(flat), {
+        "deletion": format_length(by_deletion),
+        "enumeration": format_length(by_enumeration),
+    }
+
+
+@_check("link:wing-girth", "the single-wing link also has girth 2 pi")
+def _wing_girth(ctx):
+    by_deletion, by_enumeration = link_girths(ctx.wing_link)
+    flat = by_deletion == by_enumeration == Fraction(2)
+    return _status(flat), {"girth": format_length(by_deletion)}
+
+
+@_check(
+    "link:smooth",
+    "suppressing the six degree-two nodes leaves 12 nodes and 21 arcs, and t1+ sits at "
+    "distance pi from t2-",
+)
+def _smoothing(ctx):
+    sm = ctx.smoothed
+    from collections import Counter
+
+    lengths = Counter(length for _, _, length in sm.arcs)
+    ok = (
+        len(sm.nodes) == 12
+        and len(sm.arcs) == 21
+        and lengths == Counter({THIRD: 15, Fraction(2, 3): 6})
+        and sm.distance("t1+", "t2-") == Fraction(1)
     )
+    return _status(ok), {
+        "nodes": len(sm.nodes),
+        "arcs": len(sm.arcs),
+        "d(t1+,t2-)": format_length(sm.distance("t1+", "t2-")),
+    }
 
-    # -- orbits ----------------------------------------------------------
 
-    def orbit_check(g, seed, expected):
-        def run():
-            orbit = ctx.orbit(g, seed, ctx.convention)
-            ok = len(orbit) == len(expected) and all(
-                equals(w, W[name]) for w, name in zip(orbit, expected)
-            )
-            return _status(ok), {
-                "orbit": list(expected),
-                "period": len(orbit),
-                "convention": ctx.convention,
-            }
-
-        return run
-
-    checks.append(
-        ("orbit:x-a", "conjugation by x cycles a -> e -> c -> f with period four",
-         orbit_check("x", "a", ["a", "e", "c", "f"])))
-    checks.append(
-        ("orbit:x-b", "conjugation by x swaps b and d",
-         orbit_check("x", "b", ["b", "d"])))
-    checks.append(
-        ("orbit:y-a", "conjugation by y cycles a -> e -> bhat with period three",
-         orbit_check("y", "a", ["a", "e", "bhat"])))
-    checks.append(
-        ("orbit:y-c", "conjugation by y cycles c -> f -> d with period three",
-         orbit_check("y", "c", ["c", "f", "d"])))
-
-    # -- exact identities ------------------------------------------------
-
-    def identity_check(lhs, rhs):
-        def run():
-            difference = normal_form(lhs * rhs.inverse())
-            return _status(difference.is_identity), {"difference_nf": str(difference)}
-
-        return run
-
-    checks.append(
-        ("identity:a", "a equals x y x^-2 exactly, not merely up to the centre",
-         identity_check(W["a"], W["x"] * W["y"] * W["x"] ** -2)))
-    checks.append(
-        ("identity:b", "b equals x c^-1 a^-1 exactly",
-         identity_check(W["b"], W["x"] * W["c"].inverse() * W["a"].inverse())))
-    checks.append(
-        ("identity:b-conjugate", "b is the conjugate e^-1 a e",
-         identity_check(W["b"], W["e"].inverse() * W["a"] * W["e"])))
-
-    def long_relator():
-        r = parse(fixtures.G0_RELATORS[-1], ALPHABET_XY)
-        nf = normal_form(substitute(r, {"x": W["x"], "y": W["y"]}))
-        return _status(nf.is_identity), {"relator": str(r), "normal_form": str(nf)}
-
-    checks.append(
-        (
-            "relator:long",
-            "the ten-letter relator in x and y is exactly trivial in the braid group",
-            long_relator,
-        )
+@_check(
+    "symmetry:wing-cycle",
+    "cycling the wings is an order-three automorphism of the complex and its link, with no "
+    "fixed direction",
+)
+def _symmetry(ctx):
+    cx = x1bar()
+    link = ctx.link
+    node_map = fixtures.link_symmetry(link)
+    twice = {k: X1BAR_SYMMETRY[X1BAR_SYMMETRY[k]] for k in X1BAR_SYMMETRY}
+    thrice = {k: X1BAR_SYMMETRY[twice[k]] for k in X1BAR_SYMMETRY}
+    ok = (
+        is_edge_automorphism(cx, X1BAR_SYMMETRY)
+        and thrice == {k: k for k in X1BAR_SYMMETRY}
+        and X1BAR_SYMMETRY != thrice
+        and link.is_automorphism(node_map)
+        and all(node_map[n] != n for n in link.nodes)
     )
+    return _status(ok), {"order": 3, "fixed_nodes": 0}
 
-    def relator_central(name, power):
-        def run():
-            nf = normal_form(W[name] ** power)
-            return _status(nf == FULL_TWIST), {"normal_form": str(nf)}
 
-        return run
-
-    checks.append(
-        ("relator:x4", "x^4 is trivial modulo the centre (it is the full twist)",
-         relator_central("x", 4)))
-    checks.append(
-        ("relator:y3", "y^3 is trivial modulo the centre (it is the full twist)",
-         relator_central("y", 3)))
-
-    # -- wing relations --------------------------------------------------
-
-    def wing_check(index, u, v, w):
-        def run():
-            ok = equals(u * v, v * w) and equals(v * w, w * u)
-            return _status(ok), {
-                "uv_nf": _nf_str(u * v),
-                "vw_nf": _nf_str(v * w),
-                "wu_nf": _nf_str(w * u),
-            }
-
-        return run
-
-    y = W["y"]
-    wings = (
-        (1, W["a"], W["e"], W["b"]),
-        (2, W["e"], W["bhat"], y * W["b"] * y.inverse()),
-        (3, W["bhat"], W["a"], y ** 2 * W["b"] * y ** -2),
+@_check("brady:graph", "the reference link is the cubic eight-node graph with girth 2 pi")
+def _brady_graph(ctx):
+    g = brady_link()
+    lengths = sorted(length for _, _, length in g.arcs)
+    by_deletion, by_enumeration = link_girths(g)
+    ok = (
+        len(g.nodes) == 8
+        and g.degree_multiset() == (3,) * 8
+        and lengths == [THIRD] * 8 + [Fraction(2, 3)] * 4
+        and by_deletion == by_enumeration == Fraction(2)
     )
-    for index, u, v, w in wings:
-        checks.append(
-            (
-                f"wing:{index}",
-                f"wing {index} satisfies u v = v w = w u in the braid group",
-                wing_check(index, u, v, w),
-            )
-        )
-
-    # -- coset enumerations ----------------------------------------------
-
-    def index_check(name, expected):
-        def run():
-            runs = ctx.index(name)
-            witness = {strategy: _enum_witness(result) for strategy, (result, _) in runs.items()}
-            if not all(isinstance(result, Enumeration) for result, _ in runs.values()):
-                return "inconclusive", witness
-            verified = all(ok for _, ok in runs.values())
-            witness["tables_verified"] = verified
-            ok = {result.count for result, _ in runs.values()} == {expected} and verified
-            if name == "index-four":
-                defined = max(result.defined for result, _ in runs.values())
-                witness["defined_below_thousand"] = defined < 1000
-                ok = ok and witness["defined_below_thousand"]
-            return _status(ok), witness
-
-        return run
-
-    checks.append(
-        (
-            "index:four",
-            "the marked subgroup has index four, by both strategies, verified",
-            index_check("index-four", 4),
-        )
-    )
-    checks.append(
-        (
-            "index:whole-xy",
-            "the pair x, y generates everything (index one)",
-            index_check("whole-group-xy", 1),
-        )
-    )
-    checks.append(
-        (
-            "index:whole-ax",
-            "the pair x y x^-2, x generates everything (index one)",
-            index_check("whole-group-ax", 1),
-        )
-    )
-
-    def matrix_pair_index():
-        status, witness = index_check("matrix-pair", 1)()
-        witness["stated"] = 4
-        if status == "inconclusive":
-            return status, witness
-        st = {"S": MAT_S, "T": MAT_T}
-        u = evaluate_matrix(parse("S^3 T", ALPHABET_ST), st)
-        v = evaluate_matrix(parse("S^2 T", ALPHABET_ST), st)
-        quotient_is_s = mat_mul(u, mat_inv(v)) == MAT_S
-        witness["quotient_of_generators_is_S"] = quotient_is_s
-        return ("resolved:1" if status == "pass" and quotient_is_s else "fail"), witness
-
-    checks.append(
-        (
-            "index:matrix-pair",
-            "the pair S^2 T, S^3 T generates the whole matrix group: index one, "
-            "not the stated four",
-            matrix_pair_index,
-        )
-    )
-
-    # -- representations -------------------------------------------------
-
-    def matrix_relators():
-        killed = {r["text"]: r["identity"] for r in ctx.once("matrices", matrix_claims)["relators"]}
-        return _status(all(killed.values())), {"relators_killed": killed}
-
-    checks.append(
-        (
-            "matrix:relators",
-            "sending x to S and y to -ST kills all three relators",
-            matrix_relators,
-        )
-    )
-
-    def matrix_minus_t():
-        claims = ctx.once("matrices", matrix_claims)
-        return _status(claims["is_minus_t"]), {"image": claims["minus_t"]}
-
-    checks.append(
-        (
-            "matrix:minus-t",
-            "the subgroup generator x y x^-2 maps to -T",
-            matrix_minus_t,
-        )
-    )
-
-    def perm_images():
-        claims = ctx.once("strands", strand_claims)
-        ok = all(claims["facts"]["perm:images"].values())
-        return _status(ok), {
-            "x_image": list(claims["x"]),
-            "y_image": list(claims["y"]),
-            "composition": COMPOSITION_CONVENTION,
-        }
-
-    checks.append(
-        (
-            "perm:images",
-            "on strand endpoints x is a four-cycle and y a three-cycle fixing the last",
-            perm_images,
-        )
-    )
-
-    def perm_stabilizer():
-        claims = ctx.once("strands", strand_claims)
-        ok = all(claims["facts"]["perm:stabilizer"].values())
-        return _status(ok), {
-            "subgroup_order": len(claims["subgroup"]),
-            "group_order": len(claims["group"]),
-        }
-
-    checks.append(
-        (
-            "perm:stabilizer",
-            "the images of a and y generate exactly the stabiliser of the last "
-            "endpoint, of order six",
-            perm_stabilizer,
-        )
-    )
-
-    def perm_coset_match():
-        enum, _ = ctx.index("index-four")["hlt"]
-        if not isinstance(enum, Enumeration):
-            return "inconclusive", {}
-        strand = {g: cycle_type(ctx.once("strands", strand_claims)[g]) for g in ("x", "y")}
-        # the table's images are 1-based
-        coset = {g: cycle_type(tuple(i - 1 for i in enum.action[g])) for g in ("x", "y")}
-        return _status(strand == coset), {"strand": strand, "coset": coset}
-
-    checks.append(
-        (
-            "perm:coset-match",
-            "the coset action of x and y has the same cycle structure as the "
-            "strand action",
-            perm_coset_match,
-        )
-    )
-
-    # -- complexes and links ---------------------------------------------
-
-    def wing_complex():
-        cx = ybar1()
-        link = ctx.wing_link
-        ok = (
-            len(cx.vertices) == 1
-            and len(cx.edges) == 4
-            and len(cx.triangles) == 3
-            and cx.euler_characteristic() == 0
-            and len(link.nodes) == 8
-            and len(link.arcs) == 9
-            and link.degree_multiset() == (2, 2, 2, 2, 2, 2, 3, 3)
-        )
-        return _status(ok), {
-            "euler": cx.euler_characteristic(),
-            "link_nodes": len(link.nodes),
-            "link_arcs": len(link.arcs),
-        }
-
-    checks.append(
-        (
-            "complex:wing",
-            "one wing: a torus-like complex with four edges, three triangles, "
-            "and an eight-node link",
-            wing_complex,
-        )
-    )
-
-    def glued_complex():
-        cx = x1bar()
-        ok = (
-            len(cx.vertices) == 1
-            and len(cx.edges) == 9
-            and len(cx.triangles) == 9
-            and cx.euler_characteristic() == 1
-            and all(angle == THIRD for t in cx.triangles for angle in t.angles)
-        )
-        return _status(ok), {"euler": cx.euler_characteristic()}
-
-    checks.append(
-        (
-            "complex:glued",
-            "three wings glue to one vertex, nine edges, nine equilateral triangles",
-            glued_complex,
-        )
-    )
-
-    def link_census():
-        link = ctx.link
-        degree = link.degrees()
-        ok = (
-            len(link.nodes) == 18
-            and len(link.arcs) == 27
-            and all(length == THIRD for _, _, length in link.arcs)
-            and all(degree[g + s] == 4 for g in ("a", "e", "B^") for s in "+-")
-            and all(degree[f"t{i}" + s] == 3 for i in (1, 2, 3) for s in "+-")
-            and all(degree[f"b{i}" + s] == 2 for i in (1, 2, 3) for s in "+-")
-        )
-        return _status(ok), {
-            "nodes": len(link.nodes),
-            "arcs": len(link.arcs),
-            "degree_multiset": sorted(degree.values()),
-        }
-
-    checks.append(
-        (
-            "link:census",
-            "the glued-complex link has 18 direction nodes and 27 corner arcs "
-            "of length pi/3",
-            link_census,
-        )
-    )
-
-    checks.append(
-        (
-            "link:bipartite",
-            "the glued-complex link is bipartite",
-            lambda: (_status(ctx.link.is_bipartite()), {}),
-        )
-    )
-
-    def link_girth():
-        by_deletion, by_enumeration = link_girths(ctx.link)
-        flat = by_deletion == by_enumeration == Fraction(2)
-        return _status(flat), {
-            "deletion": format_length(by_deletion),
-            "enumeration": format_length(by_enumeration),
-        }
-
-    checks.append(
-        (
-            "link:girth",
-            "the shortest loop in the glued-complex link is 2 pi: the flatness "
-            "condition holds at the vertex",
-            link_girth,
-        )
-    )
-
-    def wing_girth():
-        by_deletion, by_enumeration = link_girths(ctx.wing_link)
-        flat = by_deletion == by_enumeration == Fraction(2)
-        return _status(flat), {"girth": format_length(by_deletion)}
-
-    checks.append(
-        (
-            "link:wing-girth",
-            "the single-wing link also has girth 2 pi",
-            wing_girth,
-        )
-    )
-
-    def smoothing():
-        sm = ctx.smoothed
-        from collections import Counter
-
-        lengths = Counter(length for _, _, length in sm.arcs)
-        ok = (
-            len(sm.nodes) == 12
-            and len(sm.arcs) == 21
-            and lengths == Counter({THIRD: 15, Fraction(2, 3): 6})
-            and sm.distance("t1+", "t2-") == Fraction(1)
-        )
-        return _status(ok), {
-            "nodes": len(sm.nodes),
-            "arcs": len(sm.arcs),
-            "d(t1+,t2-)": format_length(sm.distance("t1+", "t2-")),
-        }
-
-    checks.append(
-        (
-            "link:smooth",
-            "suppressing the six degree-two nodes leaves 12 nodes and 21 arcs, "
-            "and t1+ sits at distance pi from t2-",
-            smoothing,
-        )
-    )
-
-    def symmetry():
-        cx = x1bar()
-        link = ctx.link
-        node_map = fixtures.link_symmetry(link)
-        twice = {k: X1BAR_SYMMETRY[X1BAR_SYMMETRY[k]] for k in X1BAR_SYMMETRY}
-        thrice = {k: X1BAR_SYMMETRY[twice[k]] for k in X1BAR_SYMMETRY}
-        ok = (
-            is_edge_automorphism(cx, X1BAR_SYMMETRY)
-            and thrice == {k: k for k in X1BAR_SYMMETRY}
-            and X1BAR_SYMMETRY != thrice
-            and link.is_automorphism(node_map)
-            and all(node_map[n] != n for n in link.nodes)
-        )
-        return _status(ok), {"order": 3, "fixed_nodes": 0}
-
-    checks.append(
-        (
-            "symmetry:wing-cycle",
-            "cycling the wings is an order-three automorphism of the complex and "
-            "its link, with no fixed direction",
-            symmetry,
-        )
-    )
-
-    def brady_graph():
-        g = brady_link()
-        lengths = sorted(length for _, _, length in g.arcs)
-        by_deletion, by_enumeration = link_girths(g)
-        ok = (
-            len(g.nodes) == 8
-            and g.degree_multiset() == (3,) * 8
-            and lengths == [THIRD] * 8 + [Fraction(2, 3)] * 4
-            and by_deletion == by_enumeration == Fraction(2)
-        )
-        return _status(ok), {"girth": format_length(by_deletion)}
-
-    checks.append(
-        (
-            "brady:graph",
-            "the reference link is the cubic eight-node graph with girth 2 pi",
-            brady_graph,
-        )
-    )
-
-    # -- embeddings ------------------------------------------------------
-
-    def embed_identity():
-        g = brady_link()
-        out = find_embeddings(g, g, mode="first")
-        ok = out.found and certificates_verified(g, g, out.certificates[:1])
-        ok = ok and dict(out.certificates[0].node_images) == {n: n for n in g.nodes}
-        return _status(ok), {"explored": out.nodes_explored}
-
-    checks.append(
-        (
-            "embed:identity-control",
-            "the search maps the reference link onto itself by the identity",
-            embed_identity,
-        )
-    )
-
-    def embed_wing():
-        src = ctx.wing_link.smooth()
-        out = find_embeddings(src, ctx.smoothed, mode="all")
-        sample = out.certificates[:: max(1, len(out.certificates) // 12)]
-        ok = out.found and certificates_verified(src, ctx.smoothed, sample)
-        return _status(ok), {"certificates": len(out.certificates)}
-
-    checks.append(
-        (
-            "embed:wing-control",
-            "the smoothed single-wing link embeds in the smoothed glued link",
-            embed_wing,
-        )
-    )
-
-    def embed_main():
-        out = ctx.main_search
-        full = find_embeddings(brady_link(), ctx.smoothed, mode="all")
-        verified = certificates_verified(brady_link(), ctx.smoothed, out.certificates)
-        witness = {
-            "certificates_up_to_symmetry": len(out.certificates),
-            "certificates_total": len(full.certificates),
-            "all_verified": verified,
-            "prunes": dict(out.prunes),
-            "explored": out.nodes_explored,
-            "example": out.certificates[0].to_json_dict(brady_link(), ctx.smoothed)
-            if out.certificates
-            else None,
-        }
-        # The claim under test is emptiness; the search refutes it.
-        ok = not out.found
-        return _status(ok), witness
-
-    checks.append(
-        (
-            "embed:main",
-            "no locally isometric embedding of the reference link into the "
-            "smoothed glued link exists",
-            embed_main,
-        )
-    )
-
-    def embed_obstruction():
-        out = ctx.main_search
-        hits = []
-
-        def walk(node):
-            if node.prune and node.prune["reason"] == "distance":
-                hits.append(node.prune)
-            for child in node.children:
-                walk(child)
-
-        walk(out.trace)
-        good = [
-            p
-            for p in hits
-            if parse_length(p["source_distance"]) == THIRD
-            and parse_length(p["target_distance"]) >= Fraction(2, 3)
-        ]
-        ok = bool(good)
-        return _status(ok), {
-            "distance_prunes": len(hits),
-            "short-arc-far-images": len(good),
-            "example": good[0] if good else None,
-        }
-
-    checks.append(
-        (
-            "embed:distance-obstruction",
-            "the trace prunes assignments where a pi/3 arc would need images "
-            "at distance 2 pi/3 or more",
-            embed_obstruction,
-        )
-    )
-
-    return checks
+    return _status(ok), {"girth": format_length(by_deletion)}
 
 
-def check_identifiers() -> list[str]:
-    ctx = _Context(cap=100_000)
-    idents = [ident for ident, _, _ in _build_catalogue(ctx)]
-    return sorted(idents)
+# -- embeddings -------------------------------------------------------------
+
+
+@_check("embed:identity-control", "the search maps the reference link onto itself by the identity")
+def _embed_identity(ctx):
+    g = brady_link()
+    out = find_embeddings(g, g, mode="first")
+    ok = out.found and certificates_verified(g, g, out.certificates[:1])
+    ok = ok and dict(out.certificates[0].node_images) == {n: n for n in g.nodes}
+    return _status(ok), {"explored": out.nodes_explored}
+
+
+@_check("embed:wing-control", "the smoothed single-wing link embeds in the smoothed glued link")
+def _embed_wing(ctx):
+    src = ctx.wing_link.smooth()
+    out = find_embeddings(src, ctx.smoothed, mode="all")
+    sample = out.certificates[:: max(1, len(out.certificates) // 12)]
+    ok = out.found and certificates_verified(src, ctx.smoothed, sample)
+    return _status(ok), {"certificates": len(out.certificates)}
+
+
+@_check(
+    "embed:main",
+    "no locally isometric embedding of the reference link into the smoothed glued link exists",
+)
+def _embed_main(ctx):
+    out = ctx.main_search
+    full = find_embeddings(brady_link(), ctx.smoothed, mode="all")
+    verified = certificates_verified(brady_link(), ctx.smoothed, out.certificates)
+    witness = {
+        "certificates_up_to_symmetry": len(out.certificates),
+        "certificates_total": len(full.certificates),
+        "all_verified": verified,
+        "prunes": dict(out.prunes),
+        "explored": out.nodes_explored,
+        "example": out.certificates[0].to_json_dict(brady_link(), ctx.smoothed)
+        if out.certificates
+        else None,
+    }
+    # The claim under test is emptiness; the search refutes it.
+    ok = not out.found
+    return _status(ok), witness
+
+
+@_check(
+    "embed:distance-obstruction",
+    "the trace prunes assignments where a pi/3 arc would need images at distance 2 pi/3 or "
+    "more",
+)
+def _embed_obstruction(ctx):
+    out = ctx.main_search
+    hits = []
+
+    def walk(node):
+        if node.prune and node.prune["reason"] == "distance":
+            hits.append(node.prune)
+        for child in node.children:
+            walk(child)
+
+    walk(out.trace)
+    good = [
+        p
+        for p in hits
+        if parse_length(p["source_distance"]) == THIRD
+        and parse_length(p["target_distance"]) >= Fraction(2, 3)
+    ]
+    ok = bool(good)
+    return _status(ok), {
+        "distance_prunes": len(hits),
+        "short-arc-far-images": len(good),
+        "example": good[0] if good else None,
+    }
+
+
+# the table in identifier order, the order every report lists its checks in
+_CATALOGUE = dict(sorted(_CATALOGUE.items()))
+
+
+def check_identifiers(only: list[str] | None = None) -> list[str]:
+    """The identifiers of the checks ``only`` selects, in order.
+
+    Each selector is an identifier or a prefix of one; ``None`` selects
+    everything and an empty list nothing.  A selector matching no check
+    is an error.
+    """
+    if only is None:
+        return list(_CATALOGUE)
+    for selector in only:
+        if not any(ident.startswith(selector) for ident in _CATALOGUE):
+            raise ValueError(f"selector {selector!r} matches no check")
+    return [ident for ident in _CATALOGUE if any(ident.startswith(s) for s in only)]
 
 
 def run_audit(
     only: list[str] | None = None, cap: int = 100_000, convention: str = "left"
 ) -> AuditReport:
-    """Run the catalogue, sorted by check identifier.
+    """Run the checks ``check_identifiers(only)`` selects, in order.
 
-    ``only`` restricts to checks whose identifier starts with one of the
-    given selectors (an empty list selects nothing); a selector matching
-    no check is an error.  ``convention`` picks the conjugation direction
-    for the orbit checks; the resolution check always tries both.
+    ``convention`` picks the conjugation direction for the orbit checks;
+    the resolution check always tries both.  A check that raises is
+    reported with status ``error`` and the audit goes on.
     """
     if convention not in ("left", "right"):
         raise ValueError(f"convention must be left or right, got {convention!r}")
     ctx = _Context(cap=cap, convention=convention)
-    catalogue = sorted(_build_catalogue(ctx), key=lambda entry: entry[0])
-    idents = [ident for ident, _, _ in catalogue]
-    if len(set(idents)) != len(idents):
-        raise AssertionError("duplicate check identifier in the catalogue")
-    if only is not None:
-        for selector in only:
-            if not any(ident.startswith(selector) for ident in idents):
-                raise ValueError(f"selector {selector!r} matches no check")
     results = []
-    for ident, claim, thunk in catalogue:
-        if only is not None and not any(ident.startswith(s) for s in only):
-            continue
+    for ident in check_identifiers(only):
+        claim, check, args = _CATALOGUE[ident]
         start = time.perf_counter()
-        status, witness = thunk()
+        try:
+            status, witness = check(ctx, *args)
+        except Exception as exc:
+            status, witness = "error", {"exception": type(exc).__name__, "message": str(exc)}
         results.append(
             CheckResult(
                 ident=ident,

@@ -457,19 +457,15 @@ def _cmd_embed(args) -> int:
 
 def _cmd_audit(args) -> int:
     if args.list:
-        for ident in check_identifiers():
-            print(ident)
+        idents = check_identifiers(args.checks or None)
+        _emit({"checks": idents}, "\n".join(idents), args.json)
         return 0
     report = run_audit(only=args.checks or None, cap=args.cap, convention=args.convention)
     header = "\n".join(
         f"# {key}: {value}" for key, value in sorted(report.meta.items())
     )
     text = header + "\n" + report.to_text()
-    payload = report.to_json_dict()
-    if args.json is not None:
-        _emit(payload, text, args.json)
-    else:
-        print(text)
+    _emit(report.to_json_dict(), text, args.json)
     return report.exit_code
 
 
@@ -689,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CHECK",
         help="check identifiers or prefixes (default: everything)",
     )
-    p.add_argument("--list", action="store_true", help="list check identifiers and exit")
+    p.add_argument("--list", action="store_true", help="list the selected identifiers and exit")
     p.add_argument("--cap", type=_positive_int, default=100_000)
     p.add_argument(
         "--convention",

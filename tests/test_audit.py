@@ -118,6 +118,49 @@ def test_shared_orbit_is_computed_once(monkeypatch):
     assert sorted(c[2] for c in calls) == ["left", "right"]
 
 
+def test_each_normal_form_is_computed_once(monkeypatch):
+    import braidcat.audit
+    import braidcat.garside
+
+    calls = []
+    real = braidcat.garside.normal_form
+
+    def counted(word):
+        calls.append(str(word))
+        return real(word)
+
+    monkeypatch.setattr(braidcat.garside, "normal_form", counted)
+    monkeypatch.setattr(braidcat.audit, "normal_form", counted)
+    run_audit()
+    assert len(calls) == 87
+
+
+def test_check_that_raises_is_an_error(monkeypatch):
+    import braidcat.audit
+
+    def broken():
+        raise RuntimeError("no matrices today")
+
+    monkeypatch.setattr(braidcat.audit, "matrix_claims", broken)
+    report = run_audit(only=["matrix", "perm:images"])
+    assert [(r.ident, r.status) for r in report.results] == [
+        ("matrix:minus-t", "error"),
+        ("matrix:relators", "error"),
+        ("perm:images", "pass"),
+    ]
+    witness = {"exception": "RuntimeError", "message": "no matrices today"}
+    assert all(r.witness == witness for r in report.results if r.status == "error")
+    assert report.exit_code == 1
+    assert [r.ident for r in report.failed] == ["matrix:minus-t", "matrix:relators"]
+
+
+def test_duplicate_identifier_is_rejected():
+    import braidcat.audit
+
+    with pytest.raises(ValueError, match="duplicate check identifier 'index:four'"):
+        braidcat.audit._check("index:four", "a second claim")(lambda ctx: ("pass", {}))
+
+
 def test_right_convention_breaks_the_asymmetric_orbits():
     report = run_audit(only=["orbit"], convention="right")
     statuses = {r.ident: r.status for r in report.results}

@@ -455,11 +455,29 @@ def test_audit_list(capsys):
     idents = out.split()
     assert len(idents) == 53
     assert idents == sorted(idents)
+    code, payload = run_json(capsys, "audit", "--list")
+    assert code == 0 and payload == {"checks": idents}
+    code, out, _ = run(capsys, "audit", "--list", "embed")
+    assert code == 0
+    assert out.split() == [i for i in idents if i.startswith("embed:")] and len(out.split()) == 4
 
 
 def test_audit_bad_selector(capsys):
     code, _, err = run(capsys, "audit", "garbage")
     assert code == 2 and "matches no check" in err
+    code, out, err = run(capsys, "audit", "--list", "garbage")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: selector 'garbage' matches no check"]
+
+
+def test_audit_check_that_raises_is_reported(capsys, monkeypatch):
+    def broken():
+        raise RuntimeError("no matrices today")
+
+    monkeypatch.setattr("braidcat.audit.matrix_claims", broken)
+    code, out, err = run(capsys, "audit", "matrix")
+    assert code == 1 and err == ""
+    assert out.count(" error ") == 2
 
 
 def test_audit_cap_flag_reaches_the_enumerator(capsys):
@@ -508,6 +526,21 @@ def test_export_audit_report_is_byte_deterministic(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     data = json.loads(first.read_text())
     assert data["summary"]["failed"] == ["embed:main"]
+
+
+@pytest.mark.parametrize(
+    "fmt, sha256",
+    [
+        ("json", "1df0ead74f3b017527e6864d5351f832be158bc5e02316cdbf8fc3f8a8889485"),
+        ("text", "72d2d5b2d7143386ceec12cc1022992c24ddd380322978f3608d343b5f2e1b6a"),
+    ],
+)
+def test_export_audit_report_is_pinned(tmp_path, capsys, fmt, sha256):
+    """Every id, status and claim (text) and every witness (json), byte
+    for byte: a change to any of them must change this pin on purpose."""
+    path = tmp_path / f"report.{fmt}"
+    assert run(capsys, "export", "audit-report", "--format", fmt, "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize(
