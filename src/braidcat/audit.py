@@ -27,7 +27,9 @@ inconclusive.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
+from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
 
@@ -734,8 +736,6 @@ def _wing_girth(ctx):
 )
 def _smoothing(ctx):
     sm = ctx.smoothed
-    from collections import Counter
-
     lengths = Counter(length for _, _, length in sm.arcs)
     ok = (
         len(sm.nodes) == 12
@@ -845,11 +845,11 @@ def _embed_obstruction(ctx):
             walk(child)
 
     walk(out.trace)
+    read = functools.cache(parse_length)  # the prunes repeat a few distance texts
     good = [
         p
         for p in hits
-        if parse_length(p["source_distance"]) == THIRD
-        and parse_length(p["target_distance"]) >= Fraction(2, 3)
+        if read(p["source_distance"]) == THIRD and read(p["target_distance"]) >= Fraction(2, 3)
     ]
     ok = bool(good)
     return _status(ok), {

@@ -16,18 +16,27 @@ endpoint the initial directions of the incident routes are pairwise
 distinct.  The last condition is exactly local injectivity of the
 induced map on directions, so an accepted certificate is an isometry
 onto its image that is locally injective everywhere, and rejecting
-every candidate refutes such an embedding outright.
+every candidate refutes such an embedding outright.  The search needs
+no test of its own for directions: each is the first dart of a route,
+read from one end, and routes cross pairwise distinct arcs, so two
+directions can share an arc only as the two ends of a one-dart route,
+and then they cross it in opposite senses.  ``verify_embedding`` still
+checks the condition.
 
 The search assigns images to source nodes in order of decreasing
 degree, routing an arc as soon as both of its ends have landed, and
 prunes by three sound tests: a target node of smaller degree can never
 host a source node, images already used are unavailable, and distances
-can only shrink under the map, never grow.  On request the whole
-decision tree is retained, with every pruned branch carrying the
-reason it died; failed routing attempts are classified by retrying
-with constraints off one class at a time (no path of the right length
-at all, or paths blocked by arc and node reuse, or paths blocked only
-by the direction condition).
+can only shrink under the map, never grow.  A failed routing is a
+``length-mismatch`` when no embedded path of the right length joins the
+two images at all, and an ``injectivity-clash`` when every such path
+crosses an arc or a node already in use.
+
+Routes: the embedded target paths for a (start, goal, length) key are
+enumerated once per search, in dart order and ignoring what is in use,
+each with its set of arcs and of interior nodes.  Each later use
+filters that list by the arcs and nodes in use, which keeps the dart
+order, and routing one adds and removes those precomputed sets.
 
 Arithmetic: the search runs on integers.  Every arc length of both
 graphs, and every distance between their nodes, is a multiple of 1/L,
@@ -36,9 +45,11 @@ so routing budgets and distance comparisons are exact integer
 operations on lengths measured in units of 1/L.  Each graph's distance
 table comes from one ``distances_from`` search per node, n searches
 for n nodes.  Lengths turn back into fractions only where they are
-reported.  The decision tree is built only when a trace is requested;
-without one the search keeps just its counters (nodes explored,
-prunes by reason), which are the same either way.
+reported, each distinct length once.  The decision tree, every pruned
+branch with the reason it died, is built only when a trace is
+requested; without one no record is built at any node and the search
+keeps just its counters (nodes explored, prunes by reason), which are
+the same either way.
 
 Root symmetry: the image of the first source node may be restricted to
 one representative per orbit of a supplied group of target
@@ -69,6 +80,9 @@ __all__ = [
 # A dart is an oriented crossing of an arc: (arc index, 0) runs from
 # the arc's first end to its second, (arc index, 1) the other way.
 Dart = tuple[int, int]
+# An embedded target path: its darts, the arcs they cross and the nodes
+# strictly inside it.
+_Path = tuple[tuple[Dart, ...], frozenset[int], frozenset[str]]
 
 
 def _dart_maps(graph: MetricGraph):
@@ -301,13 +315,15 @@ class _Search:
         }
         self.src_dist = self._all_pairs(source)
         self.tgt_dist = self._all_pairs(target)
+        # (start, goal, scaled length) -> that key's embedded target paths
+        self.paths: dict[tuple[str, str, int], list[_Path]] = {}
+        self.texts: dict[int, str] = {}
 
         self.images: dict[str, str] = {}
-        self.taken: dict[str, str] = {}
         self.routes: dict[int, tuple[Dart, ...]] = {}
         self.used_arcs: set[int] = set()
-        self.interior: set[str] = set()
-        self.germs: dict[str, set[Dart]] = {n: set() for n in target.nodes}
+        # target nodes that are images or lie inside a route
+        self.occupied: set[str] = set()
 
         self.certificates: list[Embedding] = []
         self.prunes: Counter = Counter()
@@ -318,7 +334,12 @@ class _Search:
         return length.numerator * (self.scale // length.denominator)
 
     def _format(self, scaled: int | None) -> str | None:
-        return None if scaled is None else format_length(Fraction(scaled, self.scale))
+        if scaled is None:
+            return None
+        text = self.texts.get(scaled)
+        if text is None:
+            text = self.texts[scaled] = format_length(Fraction(scaled, self.scale))
+        return text
 
     def _all_pairs(self, graph: MetricGraph) -> dict[str, dict[str, int | None]]:
         """Scaled distances by source then target; None where unreachable."""
@@ -340,25 +361,17 @@ class _Search:
             trace=root,
         )
 
-    # The trace is built only when requested: without it every parent is
-    # None, and the thunks that build decisions and prune details never run.
+    # Without a trace every parent is None and no record is built.
 
-    def _child(self, parent: SearchNode | None, decision) -> SearchNode | None:
-        self.nodes_explored += 1
-        if parent is None:
-            return None
-        node = SearchNode(decision())
+    @staticmethod
+    def _child(parent: SearchNode, decision: dict) -> SearchNode:
+        node = SearchNode(decision)
         parent.children.append(node)
         return node
 
-    def _record_prune(self, node: SearchNode | None, reason: str, detail) -> None:
-        self.prunes[reason] += 1
-        if node is not None:
-            node.prune = {"reason": reason, **detail()}
-
     def _arc_detail(self, arc_index: int) -> dict:
-        u, v, length = self.src.arcs[arc_index]
-        return {"source_arc": [u, v], "length": format_length(length)}
+        u, v, _ = self.src.arcs[arc_index]
+        return {"source_arc": [u, v], "length": self._format(self.src_length[arc_index])}
 
     def _assign(self, k: int, parent: SearchNode | None) -> None:
         if self.stop:
@@ -377,41 +390,57 @@ class _Search:
         u = self.node_order[k]
         candidates = self.root_candidates if k == 0 else self.candidates
         for t in candidates:
-            node = self._child(parent, lambda: {"kind": "assign", "source": u, "target": t})
-            prune = self._assignment_prune(u, t)
-            if prune is not None:
-                self._record_prune(node, *prune)
+            self.nodes_explored += 1
+            node = None
+            if parent is not None:
+                node = self._child(parent, {"kind": "assign", "source": u, "target": t})
+            reason = self._assignment_prune(u, t)
+            if reason is not None:
+                self.prunes[reason] += 1
+                if node is not None:
+                    node.prune = {"reason": reason, **self._assignment_detail(reason, u, t)}
                 continue
             self.images[u] = t
-            self.taken[t] = u
+            self.occupied.add(t)
             self._route_ready(self.ready[k], 0, k, node)
             del self.images[u]
-            del self.taken[t]
+            self.occupied.remove(t)
             if self.stop:
                 return
 
-    def _assignment_prune(self, u: str, t: str):
-        """Why t cannot host u, as (reason, detail thunk), or None."""
+    def _assignment_prune(self, u: str, t: str) -> str | None:
+        """Why t cannot host u, or None."""
         if self.src_degree[u] > self.tgt_degree[t]:
-            return "degree", lambda: {
-                "source": u,
-                "target": t,
-                "source_degree": self.src_degree[u],
-                "target_degree": self.tgt_degree[t],
-            }
-        if t in self.taken or t in self.interior:
-            return "target-node-used", lambda: {"source": u, "target": t}
+            return "degree"
+        if t in self.occupied:
+            return "target-node-used"
+        if self._farther_image(u, t) is not None:
+            return "distance"
+        return None
+
+    def _farther_image(self, u: str, t: str) -> str | None:
+        """The first placed node whose image is farther from t than it is from u."""
         src_row, tgt_row = self.src_dist[u], self.tgt_dist[t]
         for w, fw in self.images.items():
             s, d = src_row[w], tgt_row[fw]
             if s is not None and (d is None or d > s):
-                return "distance", lambda: {
-                    "source_pair": [u, w],
-                    "target_pair": [t, fw],
-                    "source_distance": self._format(s),
-                    "target_distance": self._format(d),
-                }
+                return w
         return None
+
+    def _assignment_detail(self, reason: str, u: str, t: str) -> dict:
+        if reason == "distance":
+            w = self._farther_image(u, t)
+            fw = self.images[w]
+            return {
+                "source_pair": [u, w],
+                "target_pair": [t, fw],
+                "source_distance": self._format(self.src_dist[u][w]),
+                "target_distance": self._format(self.tgt_dist[t][fw]),
+            }
+        detail = {"source": u, "target": t}
+        if reason == "degree":
+            detail.update(source_degree=self.src_degree[u], target_degree=self.tgt_degree[t])
+        return detail
 
     def _route_ready(
         self, ready: list[int], i: int, k: int, parent: SearchNode | None
@@ -423,93 +452,70 @@ class _Search:
             return
         arc_index = ready[i]
         u, v, _ = self.src.arcs[arc_index]
-        options = self._routes_for(arc_index, check_usage=True, check_germs=True)
-        if not options:
-            node = self._child(parent, lambda: {"kind": "route", **self._arc_detail(arc_index)})
-            reason = self._classify_routing_failure(arc_index)
-            self._record_prune(node, reason, lambda: self._arc_detail(arc_index))
-            return
-        for route in options:
-            node = self._child(
-                parent,
-                lambda: {
-                    "kind": "route",
-                    **self._arc_detail(arc_index),
-                    "path": [self.tail[route[0]]] + [self.head[d] for d in route],
-                },
-            )
-            inner = [self.head[d] for d in route[:-1]]
-            self.routes[arc_index] = route
-            self.used_arcs.update(a for a, _ in route)
-            self.interior.update(inner)
-            self.germs[self.images[u]].add(route[0])
-            self.germs[self.images[v]].add(_reverse(route[-1]))
+        key = (self.images[u], self.images[v], self.src_length[arc_index])
+        paths = self.paths.get(key)
+        if paths is None:
+            paths = self.paths[key] = self._embedded_paths(*key)
+        used_arcs, occupied = self.used_arcs, self.occupied
+        routed = False
+        for darts, arcs, inner in paths:
+            if not (used_arcs.isdisjoint(arcs) and occupied.isdisjoint(inner)):
+                continue
+            routed = True
+            self.nodes_explored += 1
+            node = None
+            if parent is not None:
+                path = [self.tail[darts[0]]] + [self.head[d] for d in darts]
+                node = self._child(
+                    parent, {"kind": "route", **self._arc_detail(arc_index), "path": path}
+                )
+            self.routes[arc_index] = darts
+            used_arcs |= arcs
+            occupied |= inner
             self._route_ready(ready, i + 1, k, node)
-            self.germs[self.images[v]].discard(_reverse(route[-1]))
-            self.germs[self.images[u]].discard(route[0])
-            self.interior.difference_update(inner)
-            self.used_arcs.difference_update(a for a, _ in route)
+            occupied -= inner
+            used_arcs -= arcs
             del self.routes[arc_index]
             if self.stop:
                 return
+        if not routed:
+            self.nodes_explored += 1
+            reason = "injectivity-clash" if paths else "length-mismatch"
+            self.prunes[reason] += 1
+            if parent is not None:
+                node = self._child(parent, {"kind": "route", **self._arc_detail(arc_index)})
+                node.prune = {"reason": reason, **self._arc_detail(arc_index)}
 
-    def _classify_routing_failure(self, arc_index: int) -> str:
-        if not self._routes_for(arc_index, check_usage=False, check_germs=False):
-            return "length-mismatch"
-        if not self._routes_for(arc_index, check_usage=True, check_germs=False):
-            return "injectivity-clash"
-        return "local-isometry-clash"
-
-    def _routes_for(
-        self, arc_index: int, check_usage: bool, check_germs: bool
-    ) -> list[tuple[Dart, ...]]:
-        """Every admissible route for one source arc, in dart order.
-
-        A route may pass through target nodes, but only through ones
-        not serving as anything else; its own endpoints and repeats of
-        its own interior are never allowed, so routes are embedded
-        paths (or an embedded loop when the source arc is a loop).
-        """
-        u, v, _ = self.src.arcs[arc_index]
-        start, goal = self.images[u], self.images[v]
+    def _embedded_paths(self, start: str, goal: str, length: int) -> list[_Path]:
+        """Every embedded path (or loop, when start is goal) of the given
+        length from start to goal, in dart order, whatever else is in use."""
         out = self.out
-        used_arcs = self.used_arcs if check_usage else ()
-        taken = self.taken if check_usage else ()
-        interior = self.interior if check_usage else ()
-        start_germs = self.germs[start] if check_germs else ()
-        goal_germs = self.germs[goal] if check_germs else ()
-        found: list[tuple[Dart, ...]] = []
-        # the route so far: its darts, their arcs, and the nodes inside it
+        found: list[_Path] = []
+        # the path so far: its darts, their arcs, and the nodes inside it
         path: list[Dart] = []
-        path_arcs: set[int] = set()
-        inner: set[str] = set()
+        path_arcs: list[int] = []
+        inner: list[str] = []
 
         def extend(at: str, remaining: int) -> None:
             for dart, arc, length, end in out[at]:
-                if arc in path_arcs or arc in used_arcs:
-                    continue
-                if not path and dart in start_germs:
+                if arc in path_arcs:
                     continue
                 left = remaining - length
                 if left < 0:
                     continue
                 if left == 0:
-                    if end == goal and _reverse(dart) not in goal_germs:
-                        found.append((*path, dart))
-                elif not (
-                    end == start
-                    or end == goal
-                    or end in taken
-                    or end in interior
-                    or end in inner
-                ):
+                    if end == goal:
+                        found.append(
+                            ((*path, dart), frozenset((*path_arcs, arc)), frozenset(inner))
+                        )
+                elif not (end == start or end == goal or end in inner):
                     path.append(dart)
-                    path_arcs.add(arc)
-                    inner.add(end)
+                    path_arcs.append(arc)
+                    inner.append(end)
                     extend(end, left)
-                    inner.remove(end)
-                    path_arcs.remove(arc)
+                    inner.pop()
+                    path_arcs.pop()
                     path.pop()
 
-        extend(start, self.src_length[arc_index])
+        extend(start, length)
         return found

@@ -274,6 +274,28 @@ def test_trace_does_not_change_the_search(case):
     assert untraced.nodes_explored == traced.nodes_explored
 
 
+# The work of the audit's four searches, in _audit_searches order: any
+# change to the search that alters what it explores shows up here.
+AUDIT_SEARCH_WORK = [
+    (48, 1, {"target-node-used": 28}),
+    (1122, 432, {"injectivity-clash": 12, "length-mismatch": 90, "target-node-used": 12}),
+    (2366, 32, {"distance": 870, "target-node-used": 928}),
+    (7098, 96, {"distance": 2610, "target-node-used": 2784}),
+]
+
+
+@pytest.mark.parametrize(
+    "case", range(4), ids=["identity", "wing", "main-symmetry", "main-no-symmetry"]
+)
+def test_audit_search_work_is_pinned(case):
+    src, tgt, mode, automorphisms = _audit_searches()[case]
+    out = find_embeddings(src, tgt, mode=mode, automorphisms=automorphisms)
+    explored, certificates, prunes = AUDIT_SEARCH_WORK[case]
+    assert out.nodes_explored == explored
+    assert len(out.certificates) == certificates
+    assert dict(out.prunes) == prunes
+
+
 # -- pruning and error behaviour ----------------------------------------
 
 
