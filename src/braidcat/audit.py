@@ -26,10 +26,9 @@ inconclusive.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 
@@ -76,26 +75,23 @@ THIRD = Fraction(1, 3)
 FULL_TWIST = NormalForm(2, ())
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
-    ident: str
-    claim: str
-    status: str
-    witness: dict
-    seconds: float
+class CheckResult(namedtuple("CheckResult", "ident claim status witness seconds")):
+    """One check's verdict and witness; ``seconds`` is its wall time."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.status == "pass" or self.status.startswith("resolved:")
 
     def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
-@dataclasses.dataclass(frozen=True)
-class AuditReport:
-    results: tuple[CheckResult, ...]
-    meta: dict
+class AuditReport(namedtuple("AuditReport", "results meta")):
+    """The results in identifier order, and the run's settings in ``meta``."""
+
+    __slots__ = ()
 
     @property
     def failed(self) -> list[CheckResult]:

@@ -17,8 +17,7 @@ arrives to the germ along which its second side leaves.
 
 from __future__ import annotations
 
-import dataclasses
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .metric_graph import MetricGraph, format_length, parse_length
@@ -40,10 +39,8 @@ __all__ = [
 THIRD = Fraction(1, 3)
 
 
-@dataclasses.dataclass(frozen=True)
-class Side:
-    label: str
-    forward: bool
+class Side(namedtuple("Side", "label forward")):
+    __slots__ = ()
 
     def token(self) -> str:
         return self.label + ("+" if self.forward else "-")
@@ -55,13 +52,11 @@ class Side:
         return Side(token[:-1], token[-1] == "+")
 
 
-@dataclasses.dataclass(frozen=True)
-class Triangle:
+class Triangle(namedtuple("Triangle", "sides angles")):
     """A Euclidean triangle; ``angles[i]`` is the corner angle between
     ``sides[i]`` and ``sides[(i + 1) % 3]``, in units of pi."""
 
-    sides: tuple[Side, Side, Side]
-    angles: tuple[Fraction, Fraction, Fraction]
+    __slots__ = ()
 
     def canonical(self) -> tuple:
         rotations = [
@@ -73,13 +68,14 @@ class Triangle:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class TriComplex:
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str, str], ...]  # (label, source, target)
-    triangles: tuple[Triangle, ...]
+class TriComplex(namedtuple("TriComplex", "vertices edges triangles")):
+    """Tuples of vertex names, of (label, source, target) edges and of
+    :class:`Triangle`."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, vertices, edges, triangles) -> TriComplex:
+        self = super().__new__(cls, vertices, edges, triangles)
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex names")
         labels = [label for label, _, _ in self.edges]
@@ -108,6 +104,10 @@ class TriComplex:
                 raise ValueError(
                     f"corner angles {t.angles} of a Euclidean triangle must sum to pi"
                 )
+        return self
+
+    # through __new__, so that _replace validates too
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def _ends(self, label: str) -> tuple[str, str]:
         for lab, src, dst in self.edges:

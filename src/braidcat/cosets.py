@@ -22,8 +22,7 @@ definition order, so repeated runs give identical tables.
 
 from __future__ import annotations
 
-import dataclasses
-from collections import deque
+from collections import deque, namedtuple
 
 from .words import Alphabet, Letter, Word
 
@@ -37,48 +36,41 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class Presentation:
-    alphabet: Alphabet
-    relators: tuple[Word, ...]
+class Presentation(namedtuple("Presentation", "alphabet relators")):
+    """An :class:`Alphabet` and a tuple of relator words over it."""
 
-    def __post_init__(self) -> None:
-        for r in self.relators:
-            bad = r.names() - set(self.alphabet.names)
+    __slots__ = ()
+
+    def __new__(cls, alphabet: Alphabet, relators: tuple[Word, ...]) -> Presentation:
+        for r in relators:
+            bad = r.names() - set(alphabet.names)
             if bad:
                 raise ValueError(f"relator {r} uses letters {sorted(bad)} outside the alphabet")
+        return super().__new__(cls, alphabet, relators)
+
+    # through __new__, so that _replace validates too
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclasses.dataclass(frozen=True)
-class Enumeration:
-    """A completed enumeration.
+class Enumeration(namedtuple("Enumeration", "count action defined strategy")):
+    """A completed enumeration: ``count`` cosets, found by ``strategy``.
 
     ``action`` maps each generator name to a tuple of 1-based images:
     ``action[g][i - 1]`` is the coset i g.  ``defined`` counts every
     coset created during the run, including ones later identified.
     """
 
-    count: int
-    action: dict[str, tuple[int, ...]]
-    defined: int
-    strategy: str
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "action": {g: list(images) for g, images in sorted(self.action.items())},
-            "defined": self.defined,
-            "strategy": self.strategy,
-        }
+        action = {g: list(images) for g, images in sorted(self.action.items())}
+        return {**self._asdict(), "action": action}
 
 
-@dataclasses.dataclass(frozen=True)
-class OverflowResult:
+class OverflowResult(namedtuple("OverflowResult", "cap defined strategy")):
     """The cap was hit before the table closed: inconclusive, not a count."""
 
-    cap: int
-    defined: int
-    strategy: str
+    __slots__ = ()
 
 
 class _Overflow(Exception):

@@ -61,9 +61,8 @@ records the restriction.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .metric_graph import MetricGraph, format_length
@@ -86,33 +85,26 @@ _Path = tuple[tuple[Dart, ...], frozenset[int], frozenset[str]]
 
 
 def _dart_maps(graph: MetricGraph):
-    by_node: dict[str, list[Dart]] = {n: [] for n in graph.nodes}
     head: dict[Dart, str] = {}
     tail: dict[Dart, str] = {}
     for i, (u, v, _) in enumerate(graph.arcs):
-        by_node[u].append((i, 0))
-        by_node[v].append((i, 1))
         tail[(i, 0)], head[(i, 0)] = u, v
         tail[(i, 1)], head[(i, 1)] = v, u
-    return by_node, tail, head
+    return tail, head
 
 
 def _reverse(dart: Dart) -> Dart:
     return (dart[0], 1 - dart[1])
 
 
-@dataclasses.dataclass(frozen=True)
-class Embedding:
-    """A certificate: node images plus one route of darts per source arc."""
+class Embedding(namedtuple("Embedding", "node_images routes")):
+    """A certificate: sorted (source node, image) pairs, and sorted
+    (source arc index, route of darts) pairs, one per source arc."""
 
-    node_images: tuple[tuple[str, str], ...]
-    routes: tuple[tuple[int, tuple[Dart, ...]], ...]
-
-    def image_of(self, node: str) -> str:
-        return dict(self.node_images)[node]
+    __slots__ = ()
 
     def to_json_dict(self, source: MetricGraph, target: MetricGraph) -> dict:
-        _, tail, head = _dart_maps(target)
+        tail, head = _dart_maps(target)
         routes = []
         for arc_index, darts in self.routes:
             u, v, length = source.arcs[arc_index]
@@ -133,7 +125,7 @@ def verify_embedding(
     the search.  Returns one (condition, holds) pair per condition."""
     images = dict(embedding.node_images)
     routes = dict(embedding.routes)
-    by_node, tail, head = _dart_maps(target)
+    tail, head = _dart_maps(target)
     checks: list[tuple[str, bool]] = []
 
     checks.append(
@@ -199,14 +191,20 @@ def verify_embedding(
     return checks
 
 
-@dataclasses.dataclass
 class SearchNode:
-    """One decision in the search tree."""
+    """One decision in the search tree, filled in as the search goes."""
 
-    decision: dict
-    children: list[SearchNode] = dataclasses.field(default_factory=list)
-    prune: dict | None = None
-    complete: bool = False
+    __slots__ = ("decision", "children", "prune", "complete")
+
+    def __init__(self, decision: dict):
+        self.decision = decision
+        self.children: list[SearchNode] = []
+        self.prune: dict | None = None
+        self.complete = False
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SearchNode({fields})"
 
     def to_json_dict(self) -> dict:
         out: dict = {"decision": self.decision}
@@ -219,12 +217,11 @@ class SearchNode:
         return out
 
 
-@dataclasses.dataclass
-class SearchOutcome:
-    certificates: list[Embedding]
-    prunes: Counter
-    nodes_explored: int
-    trace: SearchNode | None
+class SearchOutcome(namedtuple("SearchOutcome", "certificates prunes nodes_explored trace")):
+    """Certificates, prunes by reason, nodes explored, and the root
+    :class:`SearchNode` of the decision tree when one was requested."""
+
+    __slots__ = ()
 
     @property
     def found(self) -> bool:
@@ -235,28 +232,24 @@ def orbit_representatives(
     graph: MetricGraph, automorphisms: list[dict[str, str]]
 ) -> list[str]:
     """Least-named node of each orbit under the generated group.  Every
-    supplied map must actually be an automorphism."""
+    supplied map must actually be an automorphism.  A permutation's inverse
+    is one of its powers, so an orbit is one node's closure under the maps."""
     for mapping in automorphisms:
         if not graph.is_automorphism(mapping):
             raise ValueError(f"not an automorphism of the target: {mapping}")
-    identity = {n: n for n in graph.nodes}
-    group = {tuple(sorted(identity.items()))}
-    frontier = [identity]
-    while frontier:
-        g = frontier.pop()
-        for h in automorphisms:
-            composed = {n: h[g[n]] for n in graph.nodes}
-            key = tuple(sorted(composed.items()))
-            if key not in group:
-                group.add(key)
-                frontier.append(composed)
     reps = []
     seen: set[str] = set()
     for node in sorted(graph.nodes):
         if node not in seen:
             reps.append(node)
-            for perm in group:
-                seen.add(dict(perm)[node])
+            seen.add(node)
+            frontier = [node]
+            while frontier:
+                at = frontier.pop()
+                for mapping in automorphisms:
+                    if mapping[at] not in seen:
+                        seen.add(mapping[at])
+                        frontier.append(mapping[at])
     return reps
 
 
@@ -304,14 +297,15 @@ class _Search:
 
         self.scale = math.lcm(*(length.denominator for *_, length in source.arcs + target.arcs))
         self.src_length = [self._scaled(length) for *_, length in source.arcs]
-        by_node, self.tail, self.head = _dart_maps(target)
-        # target node -> (dart, arc, scaled length, head) for each dart leaving it
+        self.tail, self.head = _dart_maps(target)
+        # target node -> (dart, arc, scaled length, head) for each dart leaving
+        # it: its incidence entries, since the dart (i, end) leaves arc i's end
         self.out: dict[str, list[tuple[Dart, int, int, str]]] = {
             node: [
                 (dart, dart[0], self._scaled(target.arcs[dart[0]][2]), self.head[dart])
                 for dart in sorted(darts)
             ]
-            for node, darts in by_node.items()
+            for node, darts in target.incidence().items()
         }
         self.src_dist = self._all_pairs(source)
         self.tgt_dist = self._all_pairs(target)

@@ -25,10 +25,10 @@ the sweep that applies them stays quadratic on purpose (``_normalise``).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import re
+from collections import namedtuple
 
 from .words import Word
 
@@ -115,8 +115,7 @@ def _left_weight(p: Perm, q: Perm) -> tuple[Perm, Perm]:
         q = compose(s, q)
 
 
-@dataclasses.dataclass(frozen=True)
-class NormalForm:
+class NormalForm(namedtuple("NormalForm", "power factors", defaults=(0, ()))):
     """Left-greedy normal form D^power p_1 ... p_m.
 
     ``power`` is the infimum (the largest k with D^-k w positive) and
@@ -124,8 +123,7 @@ class NormalForm:
     adjacent pair left weighted.
     """
 
-    power: int = 0
-    factors: tuple[Perm, ...] = ()
+    __slots__ = ()
 
     @property
     def infimum(self) -> int:

@@ -19,9 +19,8 @@ one pair from it, and an all-pairs table costs one search per node.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -39,21 +38,23 @@ def _shorter(best: Fraction | None, length: Fraction) -> Fraction:
     return length if best is None or length < best else best
 
 
-@dataclasses.dataclass(frozen=True)
-class MetricGraph:
+class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
     """An undirected metric graph; arcs are (end, end, length) triples."""
 
-    nodes: tuple[str, ...]
-    arcs: tuple[Arc, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.nodes)) != len(self.nodes):
+    def __new__(cls, nodes: tuple[str, ...], arcs: tuple[Arc, ...]) -> MetricGraph:
+        if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node names")
-        for u, v, length in self.arcs:
-            if u not in self.nodes or v not in self.nodes:
+        for u, v, length in arcs:
+            if u not in nodes or v not in nodes:
                 raise ValueError(f"arc ({u}, {v}) mentions an unknown node")
             if length <= 0:
                 raise ValueError(f"arc ({u}, {v}) has non-positive length {length}")
+        return super().__new__(cls, nodes, arcs)
+
+    # through __new__, so that _replace validates too
+    _make = classmethod(lambda cls, values: cls(*values))
 
     # -- local structure ------------------------------------------------
 

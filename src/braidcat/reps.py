@@ -13,10 +13,9 @@ images under the opposite convention describe the inverse action.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 
-from .words import Word, parse
+from .words import Word
 
 __all__ = [
     "COMPOSITION_CONVENTION",

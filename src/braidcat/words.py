@@ -19,8 +19,8 @@ from generator names to words extends to a homomorphism via
 
 from __future__ import annotations
 
-import dataclasses
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
 __all__ = [
@@ -35,20 +35,23 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class Alphabet:
+class Alphabet(namedtuple("Alphabet", "names")):
     """An ordered tuple of single-character generator names."""
 
-    names: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, names: tuple[str, ...]) -> Alphabet:
         seen: set[str] = set()
-        for name in self.names:
+        for name in names:
             if len(name) != 1 or not name.isalpha():
                 raise ValueError(f"generator name must be one letter, got {name!r}")
             if name in seen or name.swapcase() in seen:
                 raise ValueError(f"ambiguous generator name {name!r}")
             seen.add(name)
+        return super().__new__(cls, names)
+
+    # through __new__, so that _replace validates too
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __contains__(self, name: str) -> bool:
         return name in self.names
@@ -71,11 +74,13 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(stack)
 
 
-@dataclasses.dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "letters", defaults=((),))):
     """A freely reduced word.  Build with :func:`parse` or from letters."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ()
+    # namedtuple's _make counts the fields with len(), which a word
+    # answers with its number of letters
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @staticmethod
     def from_letters(letters: Iterable[Letter]) -> Word:
@@ -92,18 +97,12 @@ class Word:
     def inverse(self) -> Word:
         return Word(tuple((name, -sign) for name, sign in reversed(self.letters)))
 
-    def __invert__(self) -> Word:
-        return self.inverse()
-
     def __len__(self) -> int:
         return len(self.letters)
 
     @property
     def is_identity(self) -> bool:
         return not self.letters
-
-    def exponent_sum(self, name: str) -> int:
-        return sum(sign for n, sign in self.letters if n == name)
 
     def names(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.letters)
@@ -125,6 +124,10 @@ class Word:
         return f"Word({str(self)!r})"
 
 
+# The most letters a parsed word may spell out before free reduction, far
+# above any word the package uses; checked before an exponent is expanded.
+MAX_LETTERS = 1_000_000
+
 _TOKEN = re.compile(r"\s+|(?P<letter>[A-Za-z])(?:\^\{?(?P<exp>-?\d+)\}?)?|(?P<bad>.)")
 
 
@@ -133,7 +136,8 @@ def parse(text: str, alphabet: Alphabet | None = None) -> Word:
 
     With no explicit alphabet every lowercase character is taken to name
     a generator; with one, letters must match a declared name up to a
-    case flip (the flipped case being the inverse).
+    case flip (the flipped case being the inverse).  A text spelling out
+    more than :data:`MAX_LETTERS` letters is rejected.
     """
     if text.strip() == "1":
         return Word()
@@ -155,6 +159,8 @@ def parse(text: str, alphabet: Alphabet | None = None) -> Word:
         exp = int(match.group("exp") or 1)
         if exp < 0:
             sign, exp = -sign, -exp
+        if len(letters) + exp > MAX_LETTERS:
+            raise ValueError(f"word has more than {MAX_LETTERS} letters")
         letters.extend([(name, sign)] * exp)
     return Word(_reduce(letters))
 

@@ -284,11 +284,7 @@ def test_criterion_8_positive_and_negative_controls():
     images = dict(good.node_images)
     two = sorted(images)[:2]
     images[two[0]], images[two[1]] = images[two[1]], images[two[0]]
-    import dataclasses
-
-    bad = dataclasses.replace(
-        good, node_images=tuple(sorted(images.items()))
-    )
+    bad = good._replace(node_images=tuple(sorted(images.items())))
     assert not all(ok for _, ok in verify_embedding(link, link, bad))
 
     # corrupted coset table: redirect one entry

@@ -58,6 +58,20 @@ def test_bad_letter_is_a_usage_error(capsys):
     assert "alphabet" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("garside", "nf", "a^99999999999"),
+        ("verify", "index", "--group", "g0", "--subgroup", "x^-100000000000, y"),
+    ],
+)
+def test_word_too_long_to_expand_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: word has more than 1000000 letters\n"
+
+
 def test_orbit_accepts_dictionary_names(capsys):
     code, payload = run_json(capsys, "garside", "orbit", "x", "a")
     assert code == 0

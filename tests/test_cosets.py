@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from braidcat.cosets import (
@@ -151,7 +149,7 @@ def index_four():
 
 def with_action(table, **columns):
     action = {**table.action, **{g: tuple(images) for g, images in columns.items()}}
-    return dataclasses.replace(table, count=len(next(iter(action.values()))), action=action)
+    return table._replace(count=len(next(iter(action.values()))), action=action)
 
 
 def failed(checks):

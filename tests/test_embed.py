@@ -371,6 +371,8 @@ def test_orbit_representatives():
     rotate = {f"v{i}": f"v{i % 8 + 1}" for i in range(1, 9)}
     assert orbit_representatives(g, [rotate]) == ["v1"]
     assert orbit_representatives(g, []) == sorted(g.nodes)
+    link = smoothed_link()
+    assert orbit_representatives(link, [link_symmetry(link)]) == ["B^+", "B^-", "t1+", "t1-"]
     with pytest.raises(ValueError):
         orbit_representatives(g, [{n: "v1" for n in g.nodes}])
 

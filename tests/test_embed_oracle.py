@@ -8,6 +8,9 @@ change the outcome, and ``mode="first"`` must return the first
 certificate of ``mode="all"``.  On the tiny instances the certificates
 must be exactly those of a brute-force enumerator written here from
 the definition, which shares no code with the search.
+
+The root symmetry's orbit representatives are checked against the
+former implementation, which enumerated the whole generated group.
 """
 
 import itertools
@@ -21,7 +24,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from braidcat.embed import Embedding, find_embeddings, verify_embedding  # noqa: E402
+from braidcat.embed import (  # noqa: E402
+    Embedding,
+    find_embeddings,
+    orbit_representatives,
+    verify_embedding,
+)
 from braidcat.metric_graph import MetricGraph  # noqa: E402
 
 F = Fraction
@@ -195,3 +203,57 @@ def test_search_agrees_with_verifier_trace_and_first_mode(instance):
     assert traced.nodes_explored == everything.nodes_explored
     first = find_embeddings(source, target, mode="first")
     assert first.certificates == everything.certificates[:1]
+
+
+# -- orbit representatives ----------------------------------------------
+
+
+def group_orbit_representatives(graph, automorphisms):
+    """The reference: enumerate the generated group as sorted tuples,
+    then take the least node of each orbit."""
+    identity = {n: n for n in graph.nodes}
+    group = {tuple(sorted(identity.items()))}
+    frontier = [identity]
+    while frontier:
+        g = frontier.pop()
+        for h in automorphisms:
+            composed = {n: h[g[n]] for n in graph.nodes}
+            key = tuple(sorted(composed.items()))
+            if key not in group:
+                group.add(key)
+                frontier.append(composed)
+    reps = []
+    seen = set()
+    for node in sorted(graph.nodes):
+        if node not in seen:
+            reps.append(node)
+            for perm in group:
+                seen.add(dict(perm)[node])
+    return reps
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """A graph on at most six nodes and up to three permutations of its
+    nodes that are automorphisms: random arcs, closed under the maps."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
+    maps = [
+        dict(zip(nodes, draw(st.permutations(nodes))))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    pick = st.sampled_from(nodes)
+    frontier = draw(st.lists(st.tuples(pick, pick, lengths), max_size=4))
+    arcs = set()
+    while frontier:
+        u, v, length = frontier.pop()
+        arc = (min(u, v), max(u, v), length)
+        if arc not in arcs:
+            arcs.add(arc)
+            frontier.extend((m[u], m[v], length) for m in maps)
+    return MetricGraph(tuple(nodes), tuple(sorted(arcs))), maps
+
+
+@given(symmetric_graphs())
+def test_orbit_representatives_match_the_group_enumeration(case):
+    graph, maps = case
+    assert orbit_representatives(graph, maps) == group_orbit_representatives(graph, maps)
