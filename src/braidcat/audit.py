@@ -33,19 +33,20 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from . import fixtures
-from .complexes import X1BAR_SYMMETRY, is_edge_automorphism, vertex_link, x1bar, ybar1
+from .complexes import X1BAR_SYMMETRY, is_edge_automorphism
 from .cosets import Enumeration, OverflowResult, Presentation, enumerate_cosets, verify_table
 from .embed import find_embeddings, verify_embedding
 from .garside import (
     NormalForm,
     conjugation_orbit,
+    difference,
     equals,
     is_central,
     normal_form,
     presentation_differences,
     presentation_equalities,
 )
-from .metric_graph import MetricGraph, brady_link, format_length, parse_length
+from .metric_graph import MetricGraph, format_length, parse_length
 from .reps import (
     COMPOSITION_CONVENTION,
     IDENTITY_2X2,
@@ -66,7 +67,7 @@ from .words import ALPHABET_ST, ALPHABET_XY, Word, parse, substitute
 
 __all__ = [
     "CheckResult", "AuditReport", "run_audit", "check_identifiers",
-    "presentation_results", "index_runs", "matrix_claims", "strand_claims", "link_girths",
+    "presentation_results", "index_runs", "matrix_claims", "strand_claims",
     "certificates_verified",
 ]
 
@@ -154,64 +155,22 @@ class AuditReport(namedtuple("AuditReport", "results meta")):
 
 
 class _Context:
-    """Shared lazily computed objects, so the catalogue stays cheap."""
+    """The run's settings and a memo of the results checks share.
+
+    ``ctx(fn, *args)`` returns ``fn(*args)``, computed once per run and
+    keyed by ``(fn, args)``.  A call that raises is not kept, so each
+    check that asks for it raises again and is reported as ``error``."""
 
     def __init__(self, cap: int, convention: str = "left"):
         self.cap = cap
         self.convention = convention
-        self._cache: dict[str, object] = {}
+        self._memo: dict[tuple, object] = {}
 
-    def once(self, key: str, thunk):
-        if key not in self._cache:
-            self._cache[key] = thunk()
-        return self._cache[key]
-
-    # shared claims ------------------------------------------------------
-
-    def presentation(self, e: str, f: str) -> dict[str, NormalForm]:
-        return self.once(f"presentation:{e}:{f}", lambda: presentation_results(e, f))
-
-    def index(self, name: str):
-        def run():
-            factory, subgroup = fixtures.SUBGROUPS[name]
-            return index_runs(factory(), subgroup, ("hlt", "felsch"), self.cap)
-
-        return self.once(f"index:{name}", run)
-
-    def orbit(self, g: str, seed: str, convention: str) -> list[Word]:
-        words = fixtures.WORDS
-        return self.once(
-            f"orbit:{g}:{seed}:{convention}",
-            lambda: conjugation_orbit(words[g], words[seed], convention=convention),
-        )
-
-    def power(self, name: str, k: int) -> NormalForm:
-        """The normal form of the k-th power of a dictionary word."""
-        return self.once(f"power:{name}:{k}", lambda: normal_form(fixtures.WORDS[name] ** k))
-
-    # geometry -----------------------------------------------------------
-
-    @property
-    def link(self):
-        return self.once("link", lambda: vertex_link(x1bar(), "o"))
-
-    @property
-    def smoothed(self):
-        return self.once("smoothed", lambda: self.link.smooth())
-
-    @property
-    def wing_link(self):
-        return self.once("wing-link", lambda: vertex_link(ybar1(), "o"))
-
-    @property
-    def main_search(self):
-        def run():
-            sym = fixtures.link_symmetry(self.smoothed)
-            return find_embeddings(
-                brady_link(), self.smoothed, mode="all", automorphisms=[sym], with_trace=True
-            )
-
-        return self.once("main-search", run)
+    def __call__(self, fn: Callable, *args):
+        key = (fn, args)
+        if key not in self._memo:
+            self._memo[key] = fn(*args)
+        return self._memo[key]
 
 
 def _status(ok: bool) -> str:
@@ -320,12 +279,6 @@ def certificates_verified(source: MetricGraph, target: MetricGraph, certificates
     )
 
 
-def link_girths(link: MetricGraph) -> tuple[Fraction | None, Fraction | None]:
-    """The girth of a link by arc deletion and by cycle enumeration;
-    None when the link has no cycle.  Both exactly 2 pi is flatness."""
-    return link.girth(), link.girth_exhaustive()
-
-
 # ---------------------------------------------------------------------------
 # the catalogue
 
@@ -345,16 +298,37 @@ def _check(ident: str, claim: str, *args):
     return register
 
 
+# -- results several checks share, through ctx(fn, *args) --------------------
+
+
+def _orbit_of(g: str, seed: str, convention: str) -> list[Word]:
+    """The conjugation orbit of the dictionary word ``seed`` under ``g``."""
+    return conjugation_orbit(fixtures.WORDS[g], fixtures.WORDS[seed], convention=convention)
+
+
+def _fixture_index(name: str, cap: int):
+    """Both strategies' runs on the subgroup fixture ``name``."""
+    factory, subgroup = fixtures.SUBGROUPS[name]
+    return index_runs(factory(), subgroup, ("hlt", "felsch"), cap)
+
+
+def _main_search(source: MetricGraph, target: MetricGraph):
+    """Every embedding up to the wing symmetry, with the trace that
+    embed:distance-obstruction walks."""
+    sym = fixtures.link_symmetry(target)
+    return find_embeddings(source, target, mode="all", automorphisms=[sym], with_trace=True)
+
+
 # -- the six-generator presentation -----------------------------------------
 
 
 def _presentation(ctx, label):
     lhs, rhs = label.split("=")
-    difference = ctx.presentation("e", "f")[label]
-    return _status(difference.is_identity), {
+    nf = ctx(presentation_results, "e", "f")[label]
+    return _status(nf.is_identity), {
         "left": lhs,
         "right": rhs,
-        "normal_form": str(difference),
+        "normal_form": str(nf),
     }
 
 
@@ -383,9 +357,9 @@ def _resolve_conjugate(ctx, name, candidate_e, candidate_f):
     """The resolved word for ``name`` satisfies every equality; the
     dictionary with the candidates (candidate_e, candidate_f) does not."""
     W = fixtures.WORDS
-    candidate = ctx.presentation(candidate_e, candidate_f)
+    candidate = ctx(presentation_results, candidate_e, candidate_f)
     failures = sorted(k for k, nf in candidate.items() if not nf.is_identity)
-    resolved = ctx.presentation("e", "f").values()
+    resolved = ctx(presentation_results, "e", "f").values()
     ok = all(nf.is_identity for nf in resolved) and bool(failures)
     witness = {
         "candidate": str(W[f"{name}-candidate"]),
@@ -416,14 +390,13 @@ def _resolve_bhat(ctx):
 def _resolve_c(ctx):
     W = fixtures.WORDS
     good = equals(W["c"], W["x"].inverse() * W["y"])
-    # x y^-1 c^-1 is the identity exactly when c = x y^-1
-    difference = normal_form(W["x"] * W["y"].inverse() * W["c"].inverse())
+    rejected = difference(W["x"] * W["y"].inverse(), W["c"])
     witness = {
         "resolved": "c = x^-1 y",
         "rejected": "c = x y^-1",
-        "normal_form_difference": str(difference),
+        "normal_form_difference": str(rejected),
     }
-    return ("resolved:c=X y" if good and not difference.is_identity else "fail"), witness
+    return ("resolved:c=X y" if good and not rejected.is_identity else "fail"), witness
 
 
 @_check(
@@ -431,14 +404,14 @@ def _resolve_c(ctx):
 )
 def _resolve_convention(ctx):
     W = fixtures.WORDS
-    left = ctx.orbit("x", "a", "left")
+    left = ctx(_orbit_of, "x", "a", "left")
     ok = (
         len(left) == 4
         and equals(left[1], W["e"])
         and equals(left[2], W["c"])
         and equals(left[3], W["f"])
     )
-    right = ctx.orbit("x", "a", "right")
+    right = ctx(_orbit_of, "x", "a", "right")
     right_matches = equals(right[1], W["e"])
     witness = {
         "left_orbit": [str(w) for w in left],
@@ -454,7 +427,8 @@ def _resolve_convention(ctx):
     "center:full-twist", "the fourth power of x and the third power of y are both the full twist"
 )
 def _center_powers(ctx):
-    nf_x4, nf_y3 = ctx.power("x", 4), ctx.power("y", 3)
+    W = fixtures.WORDS
+    nf_x4, nf_y3 = ctx(normal_form, W["x"] ** 4), ctx(normal_form, W["y"] ** 3)
     return _status(nf_x4 == nf_y3 == FULL_TWIST), {
         "nf_x4": str(nf_x4),
         "nf_y3": str(nf_y3),
@@ -488,7 +462,7 @@ def _center_x2(ctx):
     "orbit:y-c", "conjugation by y cycles c -> f -> d with period three", "y", "c", ("c", "f", "d")
 )
 def _orbit(ctx, g, seed, expected):
-    orbit = ctx.orbit(g, seed, ctx.convention)
+    orbit = ctx(_orbit_of, g, seed, ctx.convention)
     ok = len(orbit) == len(expected) and all(
         equals(w, fixtures.WORDS[name]) for w, name in zip(orbit, expected)
     )
@@ -508,8 +482,8 @@ def _orbit(ctx, g, seed, expected):
 def _identity(ctx, name, product):
     """``product`` is a word in the one-letter names of the dictionary."""
     W = fixtures.WORDS
-    difference = normal_form(W[name] * substitute(parse(product), W).inverse())
-    return _status(difference.is_identity), {"difference_nf": str(difference)}
+    nf = difference(W[name], substitute(parse(product), W))
+    return _status(nf.is_identity), {"difference_nf": str(nf)}
 
 
 @_check("relator:long", "the ten-letter relator in x and y is exactly trivial in the braid group")
@@ -523,7 +497,7 @@ def _long_relator(ctx):
 @_check("relator:x4", "x^4 is trivial modulo the centre (it is the full twist)", "x", 4)
 @_check("relator:y3", "y^3 is trivial modulo the centre (it is the full twist)", "y", 3)
 def _relator_central(ctx, name, power):
-    nf = ctx.power(name, power)
+    nf = ctx(normal_form, fixtures.WORDS[name] ** power)
     return _status(nf == FULL_TWIST), {"normal_form": str(nf)}
 
 
@@ -555,7 +529,7 @@ def _wing(ctx, u_name, v_name, k):
     "index:whole-ax", "the pair x y x^-2, x generates everything (index one)", "whole-group-ax", 1
 )
 def _index(ctx, name, expected):
-    runs = ctx.index(name)
+    runs = ctx(_fixture_index, name, ctx.cap)
     witness = {strategy: _enum_witness(result) for strategy, (result, _) in runs.items()}
     if not all(isinstance(result, Enumeration) for result, _ in runs.values()):
         return "inconclusive", witness
@@ -591,19 +565,19 @@ def _matrix_pair_index(ctx):
 
 @_check("matrix:relators", "sending x to S and y to -ST kills all three relators")
 def _matrix_relators(ctx):
-    killed = {r["text"]: r["identity"] for r in ctx.once("matrices", matrix_claims)["relators"]}
+    killed = {r["text"]: r["identity"] for r in ctx(matrix_claims)["relators"]}
     return _status(all(killed.values())), {"relators_killed": killed}
 
 
 @_check("matrix:minus-t", "the subgroup generator x y x^-2 maps to -T")
 def _matrix_minus_t(ctx):
-    claims = ctx.once("matrices", matrix_claims)
+    claims = ctx(matrix_claims)
     return _status(claims["is_minus_t"]), {"image": claims["minus_t"]}
 
 
 @_check("perm:images", "on strand endpoints x is a four-cycle and y a three-cycle fixing the last")
 def _perm_images(ctx):
-    claims = ctx.once("strands", strand_claims)
+    claims = ctx(strand_claims)
     ok = all(claims["facts"]["perm:images"].values())
     return _status(ok), {
         "x_image": list(claims["x"]),
@@ -617,7 +591,7 @@ def _perm_images(ctx):
     "the images of a and y generate exactly the stabiliser of the last endpoint, of order six",
 )
 def _perm_stabilizer(ctx):
-    claims = ctx.once("strands", strand_claims)
+    claims = ctx(strand_claims)
     ok = all(claims["facts"]["perm:stabilizer"].values())
     return _status(ok), {
         "subgroup_order": len(claims["subgroup"]),
@@ -630,10 +604,10 @@ def _perm_stabilizer(ctx):
     "the coset action of x and y has the same cycle structure as the strand action",
 )
 def _perm_coset_match(ctx):
-    enum, _ = ctx.index("index-four")["hlt"]
+    enum, _ = ctx(_fixture_index, "index-four", ctx.cap)["hlt"]
     if not isinstance(enum, Enumeration):
         return "inconclusive", {}
-    strand = {g: cycle_type(ctx.once("strands", strand_claims)[g]) for g in ("x", "y")}
+    strand = {g: cycle_type(ctx(strand_claims)[g]) for g in ("x", "y")}
     # the table's images are 1-based
     coset = {g: cycle_type(tuple(i - 1 for i in enum.action[g])) for g in ("x", "y")}
     return _status(strand == coset), {"strand": strand, "coset": coset}
@@ -647,8 +621,8 @@ def _perm_coset_match(ctx):
     "one wing: a torus-like complex with four edges, three triangles, and an eight-node link",
 )
 def _wing_complex(ctx):
-    cx = ybar1()
-    link = ctx.wing_link
+    cx = ctx(fixtures.complex_fixture, "ybar1")
+    link = ctx(fixtures.graph_fixture, "ybar1-link")
     ok = (
         len(cx.vertices) == 1
         and len(cx.edges) == 4
@@ -667,7 +641,7 @@ def _wing_complex(ctx):
 
 @_check("complex:glued", "three wings glue to one vertex, nine edges, nine equilateral triangles")
 def _glued_complex(ctx):
-    cx = x1bar()
+    cx = ctx(fixtures.complex_fixture, "x1bar")
     ok = (
         len(cx.vertices) == 1
         and len(cx.edges) == 9
@@ -682,7 +656,7 @@ def _glued_complex(ctx):
     "link:census", "the glued-complex link has 18 direction nodes and 27 corner arcs of length pi/3"
 )
 def _link_census(ctx):
-    link = ctx.link
+    link = ctx(fixtures.graph_fixture, "x1bar-link")
     degree = link.degrees()
     ok = (
         len(link.nodes) == 18
@@ -701,7 +675,7 @@ def _link_census(ctx):
 
 @_check("link:bipartite", "the glued-complex link is bipartite")
 def _link_bipartite(ctx):
-    return _status(ctx.link.is_bipartite()), {}
+    return _status(ctx(fixtures.graph_fixture, "x1bar-link").is_bipartite()), {}
 
 
 @_check(
@@ -710,7 +684,8 @@ def _link_bipartite(ctx):
     "the vertex",
 )
 def _link_girth(ctx):
-    by_deletion, by_enumeration = link_girths(ctx.link)
+    link = ctx(fixtures.graph_fixture, "x1bar-link")
+    by_deletion, by_enumeration = link.girth(), link.girth_exhaustive()
     flat = by_deletion == by_enumeration == Fraction(2)
     return _status(flat), {
         "deletion": format_length(by_deletion),
@@ -720,7 +695,8 @@ def _link_girth(ctx):
 
 @_check("link:wing-girth", "the single-wing link also has girth 2 pi")
 def _wing_girth(ctx):
-    by_deletion, by_enumeration = link_girths(ctx.wing_link)
+    link = ctx(fixtures.graph_fixture, "ybar1-link")
+    by_deletion, by_enumeration = link.girth(), link.girth_exhaustive()
     flat = by_deletion == by_enumeration == Fraction(2)
     return _status(flat), {"girth": format_length(by_deletion)}
 
@@ -731,7 +707,7 @@ def _wing_girth(ctx):
     "distance pi from t2-",
 )
 def _smoothing(ctx):
-    sm = ctx.smoothed
+    sm = ctx(fixtures.graph_fixture, "x1bar-link-smooth")
     lengths = Counter(length for _, _, length in sm.arcs)
     ok = (
         len(sm.nodes) == 12
@@ -752,8 +728,8 @@ def _smoothing(ctx):
     "fixed direction",
 )
 def _symmetry(ctx):
-    cx = x1bar()
-    link = ctx.link
+    cx = ctx(fixtures.complex_fixture, "x1bar")
+    link = ctx(fixtures.graph_fixture, "x1bar-link")
     node_map = fixtures.link_symmetry(link)
     twice = {k: X1BAR_SYMMETRY[X1BAR_SYMMETRY[k]] for k in X1BAR_SYMMETRY}
     thrice = {k: X1BAR_SYMMETRY[twice[k]] for k in X1BAR_SYMMETRY}
@@ -769,9 +745,9 @@ def _symmetry(ctx):
 
 @_check("brady:graph", "the reference link is the cubic eight-node graph with girth 2 pi")
 def _brady_graph(ctx):
-    g = brady_link()
+    g = ctx(fixtures.graph_fixture, "brady-link")
     lengths = sorted(length for _, _, length in g.arcs)
-    by_deletion, by_enumeration = link_girths(g)
+    by_deletion, by_enumeration = g.girth(), g.girth_exhaustive()
     ok = (
         len(g.nodes) == 8
         and g.degree_multiset() == (3,) * 8
@@ -786,7 +762,7 @@ def _brady_graph(ctx):
 
 @_check("embed:identity-control", "the search maps the reference link onto itself by the identity")
 def _embed_identity(ctx):
-    g = brady_link()
+    g = ctx(fixtures.graph_fixture, "brady-link")
     out = find_embeddings(g, g, mode="first")
     ok = out.found and certificates_verified(g, g, out.certificates[:1])
     ok = ok and dict(out.certificates[0].node_images) == {n: n for n in g.nodes}
@@ -795,10 +771,11 @@ def _embed_identity(ctx):
 
 @_check("embed:wing-control", "the smoothed single-wing link embeds in the smoothed glued link")
 def _embed_wing(ctx):
-    src = ctx.wing_link.smooth()
-    out = find_embeddings(src, ctx.smoothed, mode="all")
+    src = ctx(fixtures.graph_fixture, "ybar1-link-smooth")
+    target = ctx(fixtures.graph_fixture, "x1bar-link-smooth")
+    out = find_embeddings(src, target, mode="all")
     sample = out.certificates[:: max(1, len(out.certificates) // 12)]
-    ok = out.found and certificates_verified(src, ctx.smoothed, sample)
+    ok = out.found and certificates_verified(src, target, sample)
     return _status(ok), {"certificates": len(out.certificates)}
 
 
@@ -807,16 +784,18 @@ def _embed_wing(ctx):
     "no locally isometric embedding of the reference link into the smoothed glued link exists",
 )
 def _embed_main(ctx):
-    out = ctx.main_search
-    full = find_embeddings(brady_link(), ctx.smoothed, mode="all")
-    verified = certificates_verified(brady_link(), ctx.smoothed, out.certificates)
+    source = ctx(fixtures.graph_fixture, "brady-link")
+    target = ctx(fixtures.graph_fixture, "x1bar-link-smooth")
+    out = ctx(_main_search, source, target)
+    full = find_embeddings(source, target, mode="all")
+    verified = certificates_verified(source, target, out.certificates)
     witness = {
         "certificates_up_to_symmetry": len(out.certificates),
         "certificates_total": len(full.certificates),
         "all_verified": verified,
         "prunes": dict(out.prunes),
         "explored": out.nodes_explored,
-        "example": out.certificates[0].to_json_dict(brady_link(), ctx.smoothed)
+        "example": out.certificates[0].to_json_dict(source, target)
         if out.certificates
         else None,
     }
@@ -831,7 +810,8 @@ def _embed_main(ctx):
     "more",
 )
 def _embed_obstruction(ctx):
-    out = ctx.main_search
+    source = ctx(fixtures.graph_fixture, "brady-link")
+    out = ctx(_main_search, source, ctx(fixtures.graph_fixture, "x1bar-link-smooth"))
     hits = []
 
     def walk(node):

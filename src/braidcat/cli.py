@@ -23,7 +23,6 @@ from .audit import (
     certificates_verified,
     check_identifiers,
     index_runs,
-    link_girths,
     matrix_claims,
     presentation_results,
     run_audit,
@@ -32,12 +31,16 @@ from .audit import (
 from .complexes import TriComplex, vertex_link
 from .cosets import Enumeration, Presentation, enumerate_cosets
 from .embed import find_embeddings
-from .garside import conjugation_orbit, normal_form
+from .garside import conjugation_orbit, difference, normal_form
 from .metric_graph import MetricGraph, format_length
 from .reps import COMPOSITION_CONVENTION
-from .words import ALPHABET_ABC, Alphabet, parse
+from .words import ALPHABET_ABC, Alphabet, Word, parse
 
 __all__ = ["main"]
+
+# The longest word the garside commands take: a normal form costs time
+# quadratic in the word's length, about 3 s at 4,000 letters.
+MAX_BRAID_LETTERS = 4_000
 
 
 class CliError(Exception):
@@ -133,12 +136,20 @@ def _mat_rows(matrix) -> list[list[int]]:
     return [list(row) for row in matrix]
 
 
+def _braid_word(text: str) -> Word:
+    """A word over a, b, c of at most MAX_BRAID_LETTERS letters."""
+    word = parse(text, ALPHABET_ABC)
+    if len(word) > MAX_BRAID_LETTERS:
+        raise CliError(f"word has {len(word)} letters; the limit is {MAX_BRAID_LETTERS}")
+    return word
+
+
 # ---------------------------------------------------------------------------
 # garside
 
 
 def _cmd_garside_nf(args) -> int:
-    word = parse(args.word, ALPHABET_ABC)
+    word = _braid_word(args.word)
     nf = normal_form(word)
     payload = {
         "word": str(word),
@@ -152,23 +163,23 @@ def _cmd_garside_nf(args) -> int:
 
 
 def _cmd_garside_eq(args) -> int:
-    left, right = parse(args.left, ALPHABET_ABC), parse(args.right, ALPHABET_ABC)
-    difference = normal_form(left * right.inverse())
-    same = difference.is_identity
+    left, right = _braid_word(args.left), _braid_word(args.right)
+    nf = difference(left, right)
+    same = nf.is_identity
     payload = {
         "left": str(left),
         "right": str(right),
         "equal": same,
-        "difference_normal_form": str(difference),
+        "difference_normal_form": str(nf),
     }
-    text = "equal" if same else f"different, difference {difference}"
+    text = "equal" if same else f"different, difference {nf}"
     _emit(payload, text, args.json)
     return 0 if same else 1
 
 
 def _cmd_garside_orbit(args) -> int:
-    conjugator = fixtures.WORDS.get(args.conjugator) or parse(args.conjugator, ALPHABET_ABC)
-    seed = fixtures.WORDS.get(args.seed) or parse(args.seed, ALPHABET_ABC)
+    conjugator = fixtures.WORDS.get(args.conjugator) or _braid_word(args.conjugator)
+    seed = fixtures.WORDS.get(args.seed) or _braid_word(args.seed)
     orbit = conjugation_orbit(
         conjugator, seed, max_steps=args.max_steps, convention=args.convention
     )
@@ -338,7 +349,7 @@ def _cmd_complex_link(args) -> int:
 
 def _cmd_complex_cat0(args) -> int:
     link = _load_link(args)
-    by_deletion, by_enumeration = link_girths(link)
+    by_deletion, by_enumeration = link.girth(), link.girth_exhaustive()
     # the link condition: no cycle, or girth at least 2 pi
     ok = by_deletion == by_enumeration and (by_deletion is None or by_deletion >= 2)
     payload = {

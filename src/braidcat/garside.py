@@ -40,6 +40,7 @@ __all__ = [
     "parse_normal_form",
     "delta_word",
     "flip_word",
+    "difference",
     "equals",
     "equals_mod_center",
     "central_power",
@@ -240,9 +241,14 @@ def parse_normal_form(text: str) -> NormalForm:
     return NormalForm(power, tuple(factors))
 
 
+def difference(w1: Word, w2: Word) -> NormalForm:
+    """The normal form of w1 w2^-1, the identity exactly when w1 = w2."""
+    return normal_form(w1 * w2.inverse())
+
+
 def equals(w1: Word, w2: Word) -> bool:
     """Exact equality in the braid group."""
-    return normal_form(w1 * w2.inverse()).is_identity
+    return difference(w1, w2).is_identity
 
 
 def equals_mod_center(w1: Word, w2: Word) -> bool:
@@ -329,7 +335,7 @@ def presentation_differences(e: Word, f: Word, d: Word) -> list[tuple[str, Norma
     for label, lhs, rhs in presentation_equalities():
         left = substitute(parse(lhs), images)
         right = substitute(parse(rhs), images)
-        results.append((label, normal_form(left * right.inverse())))
+        results.append((label, difference(left, right)))
     return results
 
 

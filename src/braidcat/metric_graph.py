@@ -67,9 +67,6 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
             table[v].append((i, 1))
         return table
 
-    def degree(self, node: str) -> int:
-        return len(self.incidence()[node])
-
     def degrees(self) -> dict[str, int]:
         """node -> degree, from one incidence table."""
         return {n: len(ends) for n, ends in self.incidence().items()}

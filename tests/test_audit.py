@@ -3,6 +3,7 @@
 import json
 import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -133,6 +134,30 @@ def test_each_normal_form_is_computed_once(monkeypatch):
     monkeypatch.setattr(braidcat.audit, "normal_form", counted)
     run_audit()
     assert len(calls) == 87
+
+
+def test_each_graph_and_complex_is_built_once(monkeypatch):
+    import braidcat.fixtures
+
+    requested = Counter()
+    for name in ("graph_fixture", "complex_fixture"):
+        real = getattr(braidcat.fixtures, name)
+
+        def counted(fixture, real=real):
+            requested[fixture] += 1
+            return real(fixture)
+
+        monkeypatch.setattr(braidcat.fixtures, name, counted)
+    run_audit()
+    assert requested == Counter(
+        {
+            name: 1
+            for name in (
+                "brady-link", "x1bar-link", "x1bar-link-smooth", "ybar1-link",
+                "ybar1-link-smooth", "x1bar", "ybar1",
+            )
+        }
+    )
 
 
 def test_check_that_raises_is_an_error(monkeypatch):

@@ -72,6 +72,26 @@ def test_word_too_long_to_expand_is_a_usage_error(capsys, argv):
     assert err == "error: word has more than 1000000 letters\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("garside", "nf", "a b^4000"),
+        ("garside", "eq", "a", "b^4001"),
+        ("garside", "orbit", "x", "a b^4000"),
+    ],
+)
+def test_word_too_long_for_a_normal_form_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: word has 4001 letters; the limit is 4000\n"
+
+
+def test_word_limit_counts_letters_after_free_reduction(capsys):
+    code, out, _ = run(capsys, "garside", "nf", "b^5000 B^5000 a")
+    assert code == 0 and out.strip() == "D^0 | [2 1 3 4]"
+
+
 def test_orbit_accepts_dictionary_names(capsys):
     code, payload = run_json(capsys, "garside", "orbit", "x", "a")
     assert code == 0

@@ -99,7 +99,7 @@ def test_x1bar_link_matches_frozen_corner_table():
 
 def test_x1bar_link_degrees_and_girth():
     link = vertex_link(x1bar(), "o")
-    degree = {n: link.degree(n) for n in link.nodes}
+    degree = link.degrees()
     assert all(degree[g + s] == 4 for g in ("a", "e", "B^") for s in "+-")
     assert all(degree[f"t{i}" + s] == 3 for i in (1, 2, 3) for s in "+-")
     assert all(degree[f"b{i}" + s] == 2 for i in (1, 2, 3) for s in "+-")

@@ -31,8 +31,8 @@ def test_validation():
 
 def test_degrees_and_loops():
     g = MetricGraph(("p", "q"), (("p", "p", F(1)), ("p", "q", F(1, 3))))
-    assert g.degree("p") == 3
-    assert g.degree("q") == 1
+    assert g.degrees()["p"] == 3
+    assert g.degrees()["q"] == 1
     assert g.degree_multiset() == (1, 3)
 
 
