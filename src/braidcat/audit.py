@@ -26,7 +26,6 @@ inconclusive.
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import Counter, namedtuple
 from collections.abc import Callable
@@ -46,7 +45,7 @@ from .garside import (
     presentation_differences,
     presentation_equalities,
 )
-from .metric_graph import MetricGraph, format_length, parse_length
+from .metric_graph import MetricGraph, format_length
 from .reps import (
     COMPOSITION_CONVENTION,
     IDENTITY_2X2,
@@ -312,11 +311,19 @@ def _fixture_index(name: str, cap: int):
     return index_runs(factory(), subgroup, ("hlt", "felsch"), cap)
 
 
-def _main_search(source: MetricGraph, target: MetricGraph):
-    """Every embedding up to the wing symmetry, with the trace that
-    embed:distance-obstruction walks."""
-    sym = fixtures.link_symmetry(target)
-    return find_embeddings(source, target, mode="all", automorphisms=[sym], with_trace=True)
+def _search(ctx, source: MetricGraph, target: MetricGraph, **options):
+    """find_embeddings with both graphs' exact distance tables from the memo."""
+    tables = ctx(MetricGraph.distance_table, source), ctx(MetricGraph.distance_table, target)
+    return find_embeddings(source, target, distances=tables, **options)
+
+
+def _main_search(ctx):
+    """Every embedding of the reference link into the smoothed glued link up to
+    the wing symmetry; embed:main and embed:distance-obstruction share it as
+    ``ctx(_main_search, ctx)``, since it takes its graphs and tables from the memo."""
+    source = ctx(fixtures.graph_fixture, "brady-link")
+    target = ctx(fixtures.graph_fixture, "x1bar-link-smooth")
+    return _search(ctx, source, target, mode="all", automorphisms=[fixtures.link_symmetry(target)])
 
 
 # -- the six-generator presentation -----------------------------------------
@@ -709,16 +716,17 @@ def _wing_girth(ctx):
 def _smoothing(ctx):
     sm = ctx(fixtures.graph_fixture, "x1bar-link-smooth")
     lengths = Counter(length for _, _, length in sm.arcs)
+    distance = ctx(MetricGraph.distance_table, sm)["t1+"].get("t2-")
     ok = (
         len(sm.nodes) == 12
         and len(sm.arcs) == 21
         and lengths == Counter({THIRD: 15, Fraction(2, 3): 6})
-        and sm.distance("t1+", "t2-") == Fraction(1)
+        and distance == Fraction(1)
     )
     return _status(ok), {
         "nodes": len(sm.nodes),
         "arcs": len(sm.arcs),
-        "d(t1+,t2-)": format_length(sm.distance("t1+", "t2-")),
+        "d(t1+,t2-)": format_length(distance),
     }
 
 
@@ -763,7 +771,7 @@ def _brady_graph(ctx):
 @_check("embed:identity-control", "the search maps the reference link onto itself by the identity")
 def _embed_identity(ctx):
     g = ctx(fixtures.graph_fixture, "brady-link")
-    out = find_embeddings(g, g, mode="first")
+    out = _search(ctx, g, g, mode="first")
     ok = out.found and certificates_verified(g, g, out.certificates[:1])
     ok = ok and dict(out.certificates[0].node_images) == {n: n for n in g.nodes}
     return _status(ok), {"explored": out.nodes_explored}
@@ -773,7 +781,7 @@ def _embed_identity(ctx):
 def _embed_wing(ctx):
     src = ctx(fixtures.graph_fixture, "ybar1-link-smooth")
     target = ctx(fixtures.graph_fixture, "x1bar-link-smooth")
-    out = find_embeddings(src, target, mode="all")
+    out = _search(ctx, src, target, mode="all")
     sample = out.certificates[:: max(1, len(out.certificates) // 12)]
     ok = out.found and certificates_verified(src, target, sample)
     return _status(ok), {"certificates": len(out.certificates)}
@@ -786,8 +794,8 @@ def _embed_wing(ctx):
 def _embed_main(ctx):
     source = ctx(fixtures.graph_fixture, "brady-link")
     target = ctx(fixtures.graph_fixture, "x1bar-link-smooth")
-    out = ctx(_main_search, source, target)
-    full = find_embeddings(source, target, mode="all")
+    out = ctx(_main_search, ctx)
+    full = _search(ctx, source, target, mode="all")
     verified = certificates_verified(source, target, out.certificates)
     witness = {
         "certificates_up_to_symmetry": len(out.certificates),
@@ -810,28 +818,13 @@ def _embed_main(ctx):
     "more",
 )
 def _embed_obstruction(ctx):
-    source = ctx(fixtures.graph_fixture, "brady-link")
-    out = ctx(_main_search, source, ctx(fixtures.graph_fixture, "x1bar-link-smooth"))
-    hits = []
-
-    def walk(node):
-        if node.prune and node.prune["reason"] == "distance":
-            hits.append(node.prune)
-        for child in node.children:
-            walk(child)
-
-    walk(out.trace)
-    read = functools.cache(parse_length)  # the prunes repeat a few distance texts
-    good = [
-        p
-        for p in hits
-        if read(p["source_distance"]) == THIRD and read(p["target_distance"]) >= Fraction(2, 3)
-    ]
-    ok = bool(good)
-    return _status(ok), {
-        "distance_prunes": len(hits),
-        "short-arc-far-images": len(good),
-        "example": good[0] if good else None,
+    out = ctx(_main_search, ctx)
+    far = {key: v for key, v in out.distance_prunes.items() if key[1] is not None}
+    good = [v for (s, d), v in far.items() if Fraction(s) == THIRD and Fraction(d) >= 2 * THIRD]
+    return _status(bool(good)), {
+        "distance_prunes": out.prunes["distance"],
+        "short-arc-far-images": sum(count for count, _ in good),
+        "example": good[0][1] if good else None,
     }
 
 

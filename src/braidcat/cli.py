@@ -136,11 +136,16 @@ def _mat_rows(matrix) -> list[list[int]]:
     return [list(row) for row in matrix]
 
 
+def _within_limit(what: str, letters: int) -> None:
+    """Refuse to normalise ``what`` when it has more than MAX_BRAID_LETTERS letters."""
+    if letters > MAX_BRAID_LETTERS:
+        raise CliError(f"{what} has {letters} letters; the limit is {MAX_BRAID_LETTERS}")
+
+
 def _braid_word(text: str) -> Word:
     """A word over a, b, c of at most MAX_BRAID_LETTERS letters."""
     word = parse(text, ALPHABET_ABC)
-    if len(word) > MAX_BRAID_LETTERS:
-        raise CliError(f"word has {len(word)} letters; the limit is {MAX_BRAID_LETTERS}")
+    _within_limit("word", len(word))
     return word
 
 
@@ -164,6 +169,7 @@ def _cmd_garside_nf(args) -> int:
 
 def _cmd_garside_eq(args) -> int:
     left, right = _braid_word(args.left), _braid_word(args.right)
+    _within_limit("left right^-1", len(left * right.inverse()))
     nf = difference(left, right)
     same = nf.is_identity
     payload = {
@@ -180,6 +186,9 @@ def _cmd_garside_eq(args) -> int:
 def _cmd_garside_orbit(args) -> int:
     conjugator = fixtures.WORDS.get(args.conjugator) or _braid_word(args.conjugator)
     seed = fixtures.WORDS.get(args.seed) or _braid_word(args.seed)
+    # step k normalises g^k seed g^-k seed^-1: at most 2|seed| + 2k|g| letters
+    longest = 2 * len(seed) + 2 * args.max_steps * len(conjugator)
+    _within_limit(f"step {args.max_steps} of the orbit may normalise a word that", longest)
     orbit = conjugation_orbit(
         conjugator, seed, max_steps=args.max_steps, convention=args.convention
     )
@@ -588,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="left",
         help="left: w -> g w g^-1 (default); right: w -> g^-1 w g",
     )
-    p.add_argument("--max-steps", type=int, default=16)
+    p.add_argument("--max-steps", type=_positive_int, default=16)
     _add_json_flag(p)
     p.set_defaults(func=_cmd_garside_orbit)
 

@@ -42,14 +42,14 @@ Arithmetic: the search runs on integers.  Every arc length of both
 graphs, and every distance between their nodes, is a multiple of 1/L,
 where L is the least common multiple of the arc lengths' denominators,
 so routing budgets and distance comparisons are exact integer
-operations on lengths measured in units of 1/L.  Each graph's distance
-table comes from one ``distances_from`` search per node, n searches
-for n nodes.  Lengths turn back into fractions only where they are
-reported, each distinct length once.  The decision tree, every pruned
-branch with the reason it died, is built only when a trace is
-requested; without one no record is built at any node and the search
-keeps just its counters (nodes explored, prunes by reason), which are
-the same either way.
+operations on lengths measured in units of 1/L.  Each graph's exact
+``distance_table()`` (one ``distances_from`` search per node, or the
+caller's ``distances``) is scaled to 1/L.  Lengths turn back into
+fractions only where they are reported, each distinct length once.  The
+decision tree, every pruned branch with the reason it died, is built
+only when a trace is requested; without one no record is built at any
+node and the search keeps just its counters, the same either way: nodes
+explored, prunes by reason, and distance prunes by distance pair.
 
 Root symmetry: the image of the first source node may be restricted to
 one representative per orbit of a supplied group of target
@@ -217,9 +217,11 @@ class SearchNode:
         return out
 
 
-class SearchOutcome(namedtuple("SearchOutcome", "certificates prunes nodes_explored trace")):
-    """Certificates, prunes by reason, nodes explored, and the root
-    :class:`SearchNode` of the decision tree when one was requested."""
+class SearchOutcome(
+    namedtuple("SearchOutcome", "certificates prunes nodes_explored distance_prunes trace")
+):
+    """Certificates, prunes by reason, nodes explored, the distance prunes as (source,
+    target distance) text -> (count, first prune), and the trace's root SearchNode or None."""
 
     __slots__ = ()
 
@@ -259,21 +261,23 @@ def find_embeddings(
     mode: str = "all",
     automorphisms: list[dict[str, str]] | None = None,
     with_trace: bool = False,
+    distances: tuple[dict, dict] | None = None,
 ) -> SearchOutcome:
     """Search for locally isometric embeddings of source into target.
 
     ``mode="first"`` stops at the first certificate, ``"all"`` collects
     every one (restricted at the root as described in the module
-    docstring when automorphisms are supplied).
+    docstring when automorphisms are supplied).  ``distances`` is
+    ``(source.distance_table(), target.distance_table())`` or None.
     """
     if mode not in ("all", "first"):
         raise ValueError(f"unknown mode {mode!r}")
-    search = _Search(source, target, mode, automorphisms or [], with_trace)
+    search = _Search(source, target, mode, automorphisms or [], with_trace, distances)
     return search.run()
 
 
 class _Search:
-    def __init__(self, source, target, mode, automorphisms, with_trace):
+    def __init__(self, source, target, mode, automorphisms, with_trace, distances):
         self.src_degree = source.degrees()
         bad = [n for n in source.nodes if self.src_degree[n] < 3]
         if bad:
@@ -307,8 +311,8 @@ class _Search:
             ]
             for node, darts in target.incidence().items()
         }
-        self.src_dist = self._all_pairs(source)
-        self.tgt_dist = self._all_pairs(target)
+        tables = distances or (source.distance_table(), target.distance_table())
+        self.src_dist, self.tgt_dist = map(self._scaled_table, tables)
         # (start, goal, scaled length) -> that key's embedded target paths
         self.paths: dict[tuple[str, str, int], list[_Path]] = {}
         self.texts: dict[int, str] = {}
@@ -321,6 +325,8 @@ class _Search:
 
         self.certificates: list[Embedding] = []
         self.prunes: Counter = Counter()
+        # (scaled source, target distance) -> [count, u, t, w, f(w) of the first]
+        self.distance_stats: dict[tuple, list] = {}
         self.nodes_explored = 0
         self.stop = False
 
@@ -335,23 +341,27 @@ class _Search:
             text = self.texts[scaled] = format_length(Fraction(scaled, self.scale))
         return text
 
-    def _all_pairs(self, graph: MetricGraph) -> dict[str, dict[str, int | None]]:
-        """Scaled distances by source then target; None where unreachable."""
-        table: dict[str, dict[str, int | None]] = {}
-        for u in graph.nodes:
-            reach = graph.distances_from(u)
-            table[u] = {v: self._scaled(reach[v]) if v in reach else None for v in graph.nodes}
-        return table
+    def _scaled_table(self, table: dict) -> dict[str, dict[str, int | None]]:
+        """An exact distance table, with a row for every node, scaled; None where unreachable."""
+        return {
+            u: {v: self._scaled(row[v]) if v in row else None for v in table}
+            for u, row in table.items()
+        }
 
     def run(self) -> SearchOutcome:
         root = None
         if self.with_trace:
             root = SearchNode({"kind": "root", "root_candidates": list(self.root_candidates)})
         self._assign(0, root)
+        distance_prunes = {}
+        for count, *first in self.distance_stats.values():
+            prune = self._assignment_detail("distance", *first)
+            distance_prunes[prune["source_distance"], prune["target_distance"]] = count, prune
         return SearchOutcome(
             certificates=self.certificates,
             prunes=self.prunes,
             nodes_explored=self.nodes_explored,
+            distance_prunes=distance_prunes,
             trace=root,
         )
 
@@ -388,11 +398,11 @@ class _Search:
             node = None
             if parent is not None:
                 node = self._child(parent, {"kind": "assign", "source": u, "target": t})
-            reason = self._assignment_prune(u, t)
+            reason, w = self._assignment_prune(u, t)
             if reason is not None:
                 self.prunes[reason] += 1
                 if node is not None:
-                    node.prune = {"reason": reason, **self._assignment_detail(reason, u, t)}
+                    node.prune = self._assignment_detail(reason, u, t, w, self.images.get(w))
                 continue
             self.images[u] = t
             self.occupied.add(t)
@@ -402,36 +412,31 @@ class _Search:
             if self.stop:
                 return
 
-    def _assignment_prune(self, u: str, t: str) -> str | None:
-        """Why t cannot host u, or None."""
+    def _assignment_prune(self, u: str, t: str) -> tuple[str | None, str | None]:
+        """Why t cannot host u, or None, and for a distance prune (which it
+        counts) the first placed node whose image is farther from t than it is from u."""
         if self.src_degree[u] > self.tgt_degree[t]:
-            return "degree"
+            return "degree", None
         if t in self.occupied:
-            return "target-node-used"
-        if self._farther_image(u, t) is not None:
-            return "distance"
-        return None
-
-    def _farther_image(self, u: str, t: str) -> str | None:
-        """The first placed node whose image is farther from t than it is from u."""
+            return "target-node-used", None
         src_row, tgt_row = self.src_dist[u], self.tgt_dist[t]
         for w, fw in self.images.items():
             s, d = src_row[w], tgt_row[fw]
             if s is not None and (d is None or d > s):
-                return w
-        return None
+                self.distance_stats.setdefault((s, d), [0, u, t, w, fw])[0] += 1
+                return "distance", w
+        return None, None
 
-    def _assignment_detail(self, reason: str, u: str, t: str) -> dict:
+    def _assignment_detail(self, reason: str, u: str, t: str, w: str | None, fw: str | None):
         if reason == "distance":
-            w = self._farther_image(u, t)
-            fw = self.images[w]
             return {
+                "reason": reason,
                 "source_pair": [u, w],
                 "target_pair": [t, fw],
                 "source_distance": self._format(self.src_dist[u][w]),
                 "target_distance": self._format(self.tgt_dist[t][fw]),
             }
-        detail = {"source": u, "target": t}
+        detail = {"reason": reason, "source": u, "target": t}
         if reason == "degree":
             detail.update(source_degree=self.src_degree[u], target_degree=self.tgt_degree[t])
         return detail

@@ -160,6 +160,45 @@ def test_each_graph_and_complex_is_built_once(monkeypatch):
     )
 
 
+def test_audit_work_is_pinned(monkeypatch):
+    import braidcat.audit
+    from braidcat.metric_graph import MetricGraph
+
+    searches, calls = [], Counter()
+    real_search, real_distances_from = braidcat.audit.find_embeddings, MetricGraph.distances_from
+
+    def search(*args, **kwargs):
+        searches.append(kwargs)
+        return real_search(*args, **kwargs)
+
+    def distances_from(graph, source, skip_arc=None):
+        calls["girth deletion" if skip_arc is not None else "table row"] += 1
+        return real_distances_from(graph, source, skip_arc)
+
+    monkeypatch.setattr(braidcat.audit, "find_embeddings", search)
+    monkeypatch.setattr(MetricGraph, "distances_from", distances_from)
+    report = run_audit()
+    # one exact table per graph: brady-link 8 nodes, x1bar-link-smooth 12, ybar1-link-smooth 2
+    assert calls["table row"] == 8 + 12 + 2
+    assert calls["girth deletion"] == 48
+    assert len(searches) == 4
+    assert not any(kwargs.get("with_trace") for kwargs in searches)
+    witness = {r.ident: r for r in report.results}["embed:distance-obstruction"].witness
+    assert json.dumps(witness) == json.dumps(
+        {
+            "distance_prunes": 870,
+            "short-arc-far-images": 484,
+            "example": {
+                "reason": "distance",
+                "source_pair": ["v2", "v1"],
+                "target_pair": ["B^-", "B^+"],
+                "source_distance": "1/3",
+                "target_distance": "1/1",
+            },
+        }
+    )
+
+
 def test_check_that_raises_is_an_error(monkeypatch):
     import braidcat.audit
 

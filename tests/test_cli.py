@@ -87,6 +87,46 @@ def test_word_too_long_for_a_normal_form_is_a_usage_error(capsys, argv):
     assert err == "error: word has 4001 letters; the limit is 4000\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("garside", "eq", "a b^3999", "c a^3999"), "left right^-1 has 8000 letters"),
+        (
+            ("garside", "orbit", "b^1000", "a"),
+            "step 16 of the orbit may normalise a word that has 32002 letters",
+        ),
+        (
+            ("garside", "orbit", "b a c", "a", "--max-steps", "667"),
+            "step 667 of the orbit may normalise a word that has 4004 letters",
+        ),
+    ],
+)
+def test_word_a_command_would_normalise_is_within_the_limit(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}; the limit is 4000\n"
+
+
+def test_words_just_under_the_limit_are_accepted(capsys):
+    # (b a c)^2 is the half twist D, so these long words have short normal forms
+    code, out, _ = run(capsys, "garside", "eq", "b a c " * 1333, "b")  # 4000 letters
+    assert code == 1 and out.startswith("different, difference D^665 ")
+    code, payload = run_json(capsys, "garside", "orbit", "b a c", "a", "--max-steps", "666")
+    assert code == 0 and payload["period"] == 4  # 2 + 2 * 666 * 3 = 3998 letters
+
+
+@pytest.mark.parametrize("steps", ["-3", "0"])
+def test_max_steps_below_one_is_an_invocation_error(capsys, steps):
+    with pytest.raises(SystemExit) as exc:
+        main(["garside", "orbit", "x", "a", "--max-steps", steps])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [
+        f"braidcat garside orbit: error: argument --max-steps: must be at least 1, got {steps}"
+    ]
+
+
 def test_word_limit_counts_letters_after_free_reduction(capsys):
     code, out, _ = run(capsys, "garside", "nf", "b^5000 B^5000 a")
     assert code == 0 and out.strip() == "D^0 | [2 1 3 4]"

@@ -30,6 +30,28 @@ def theta(length=F(1)):
     return MetricGraph(("P", "Q"), (("P", "Q", length),) * 3)
 
 
+def two_thetas():
+    """Two theta components: no route joins a node of one to the other."""
+    return MetricGraph(("P", "Q", "R", "S"), (("P", "Q", F(1)),) * 3 + (("R", "S", F(1)),) * 3)
+
+
+def distance_prunes_in(trace):
+    """The distance prunes of a decision tree, walked in search order:
+    (source distance, target distance) texts -> (count, first prune)."""
+    stats = {}
+
+    def walk(node):
+        if node.prune and node.prune["reason"] == "distance":
+            key = (node.prune["source_distance"], node.prune["target_distance"])
+            count, first = stats.get(key, (0, node.prune))
+            stats[key] = (count + 1, first)
+        for child in node.children:
+            walk(child)
+
+    walk(trace)
+    return stats
+
+
 # -- verifier ------------------------------------------------------------
 
 
@@ -212,21 +234,9 @@ def test_trace_contains_distance_obstruction():
     out = find_embeddings(
         src, tgt, mode="all", automorphisms=[link_symmetry(tgt)], with_trace=True
     )
-    hits = []
-
-    def walk(node):
-        if node.prune and node.prune["reason"] == "distance":
-            hits.append(node.prune)
-        for child in node.children:
-            walk(child)
-
-    walk(out.trace)
-    assert any(
-        parse_length(p["source_distance"]) == F(1, 3)
-        and parse_length(p["target_distance"]) >= F(2, 3)
-        for p in hits
-    )
-    assert out.prunes["distance"] == len(hits)
+    hits = distance_prunes_in(out.trace)
+    assert any(parse_length(s) == F(1, 3) and parse_length(d) >= F(2, 3) for s, d in hits)
+    assert out.prunes["distance"] == sum(count for count, _ in hits.values())
     assert out.trace.to_json_dict()["decision"]["kind"] == "root"
 
 
@@ -258,11 +268,14 @@ def _planted_searches(count=30):
     ]
 
 
-@pytest.mark.parametrize(
-    "case", range(4 + 30), ids=lambda i: f"audit-{i}" if i < 4 else f"planted-{i - 4}"
-)
+def _case_id(i):
+    return f"audit-{i}" if i < 4 else f"planted-{i - 4}" if i < 34 else "two-thetas"
+
+
+@pytest.mark.parametrize("case", range(4 + 30 + 1), ids=_case_id)
 def test_trace_does_not_change_the_search(case):
-    src, tgt, mode, automorphisms = (_audit_searches() + _planted_searches())[case]
+    cases = _audit_searches() + _planted_searches() + [(theta(), two_thetas(), "all", None)]
+    src, tgt, mode, automorphisms = cases[case]
     runs = [
         find_embeddings(src, tgt, mode=mode, automorphisms=automorphisms, with_trace=traced)
         for traced in (False, True)
@@ -272,6 +285,12 @@ def test_trace_does_not_change_the_search(case):
     assert untraced.certificates == traced.certificates
     assert untraced.prunes == traced.prunes
     assert untraced.nodes_explored == traced.nodes_explored
+    # the untraced distance-prune stats are what a walk of the tree finds
+    assert untraced.distance_prunes == traced.distance_prunes
+    counts = [count for count, _ in untraced.distance_prunes.values()]
+    assert sum(counts) == untraced.prunes["distance"]
+    walked = distance_prunes_in(traced.trace)
+    assert list(untraced.distance_prunes.items()) == list(walked.items())
 
 
 # The work of the audit's four searches, in _audit_searches order: any
@@ -289,37 +308,25 @@ AUDIT_SEARCH_WORK = [
 )
 def test_audit_search_work_is_pinned(case):
     src, tgt, mode, automorphisms = _audit_searches()[case]
-    out = find_embeddings(src, tgt, mode=mode, automorphisms=automorphisms)
     explored, certificates, prunes = AUDIT_SEARCH_WORK[case]
-    assert out.nodes_explored == explored
-    assert len(out.certificates) == certificates
-    assert dict(out.prunes) == prunes
+    # the search builds its own distance tables or scales the ones it is given
+    for distances in (None, (src.distance_table(), tgt.distance_table())):
+        out = find_embeddings(src, tgt, mode=mode, automorphisms=automorphisms, distances=distances)
+        assert out.nodes_explored == explored
+        assert len(out.certificates) == certificates
+        assert dict(out.prunes) == prunes
 
 
 # -- pruning and error behaviour ----------------------------------------
 
 
 def test_unreachable_target_pair_is_a_distance_prune():
-    src = theta()
-    # two theta components: no route joins a node of one to the other
-    tgt = MetricGraph(
-        ("P", "Q", "R", "S"),
-        (("P", "Q", F(1)),) * 3 + (("R", "S", F(1)),) * 3,
-    )
-    out = find_embeddings(src, tgt, mode="all", with_trace=True)
+    out = find_embeddings(theta(), two_thetas(), mode="all", with_trace=True)
     assert len(out.certificates) == 4 * 6  # four node maps, six ways to route
-    hits = []
-
-    def walk(node):
-        if node.prune and node.prune["reason"] == "distance":
-            hits.append(node.prune)
-        for child in node.children:
-            walk(child)
-
-    walk(out.trace)
-    assert out.prunes["distance"] == len(hits) > 0
-    assert all(p["target_distance"] is None for p in hits)
-    assert {p["source_distance"] for p in hits} == {"1/1"}
+    hits = distance_prunes_in(out.trace)
+    assert list(hits) == [("1/1", None)]
+    assert out.prunes["distance"] == hits["1/1", None][0] > 0
+    assert list(out.distance_prunes) == [("1/1", None)]
 
 
 def test_degree_prune_reason():

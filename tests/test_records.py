@@ -39,7 +39,7 @@ RECORDS = {
     OverflowResult: (lambda: OverflowResult(3, 3, "felsch"), True),
     NormalForm: (lambda: normal_form(parse("a b A")), True),
     Embedding: (lambda: Embedding((("v1", "t1"),), ((0, ((0, 0),)),)), True),
-    SearchOutcome: (lambda: SearchOutcome([], Counter(degree=2), 5, None), False),
+    SearchOutcome: (lambda: SearchOutcome([], Counter(degree=2), 5, {}, None), False),
     CheckResult: (lambda: CheckResult("x:y", "a claim", "pass", {"n": 1}, 0.5), False),
     AuditReport: (lambda: AuditReport((), {"coset_cap": 7}), False),
 }
