@@ -1,9 +1,12 @@
 """Command line front end.
 
 One subcommand per verification surface, plus ``audit`` to run the whole
-catalogue and ``export`` to dump any named fixture.  Every subcommand can
-write its result as JSON with ``--json PATH`` (``-`` for stdout); without
-it a human-readable rendering goes to stdout.
+catalogue and ``export`` to dump any named fixture.  Each handler maps
+the parsed arguments to (payload, text, exit code), and ``main`` writes
+one of the two.  Every subcommand but ``export`` writes its payload as
+JSON with ``--json PATH`` and its text without it; ``export`` renders
+as ``--format`` says and writes to ``--out PATH``.  A path of ``-``, or
+no path, means stdout.
 
 Exit codes: 0 when every requested check passed (resolved counts as a
 pass), 1 when any check failed, 2 when the outcome is inconclusive (a
@@ -43,21 +46,16 @@ __all__ = ["main"]
 MAX_BRAID_LETTERS = 4_000
 
 
+# A handler's JSON payload, its text and its exit code; an export sets only one of the two.
+Result = tuple[dict | None, str | None, int]
+
+
 class CliError(Exception):
     """Invalid invocation or unknown object; reported on stderr, exit 2."""
 
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-
-def _emit(payload: dict, text: str, json_path: str | None) -> None:
-    if json_path is None:
-        print(text)
-    elif json_path == "-":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _graph_json(graph: MetricGraph) -> dict:
@@ -116,13 +114,6 @@ def _load_presentation(name: str) -> Presentation:
     return Presentation(alphabet, relators)
 
 
-def _load_link(args) -> MetricGraph:
-    try:
-        return vertex_link(_load("complex", args.name), args.vertex)
-    except (KeyError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _length_or_none(length: Fraction | None) -> str | None:
     """A length for a JSON payload; None (no cycle, no path) stays null."""
     return None if length is None else format_length(length)
@@ -153,7 +144,7 @@ def _braid_word(text: str) -> Word:
 # garside
 
 
-def _cmd_garside_nf(args) -> int:
+def _cmd_garside_nf(args) -> Result:
     word = _braid_word(args.word)
     nf = normal_form(word)
     payload = {
@@ -163,11 +154,10 @@ def _cmd_garside_nf(args) -> int:
         "supremum": nf.supremum,
         "canonical_length": nf.canonical_length,
     }
-    _emit(payload, str(nf), args.json)
-    return 0
+    return payload, str(nf), 0
 
 
-def _cmd_garside_eq(args) -> int:
+def _cmd_garside_eq(args) -> Result:
     left, right = _braid_word(args.left), _braid_word(args.right)
     _within_limit("left right^-1", len(left * right.inverse()))
     nf = difference(left, right)
@@ -179,11 +169,10 @@ def _cmd_garside_eq(args) -> int:
         "difference_normal_form": str(nf),
     }
     text = "equal" if same else f"different, difference {nf}"
-    _emit(payload, text, args.json)
-    return 0 if same else 1
+    return payload, text, 0 if same else 1
 
 
-def _cmd_garside_orbit(args) -> int:
+def _cmd_garside_orbit(args) -> Result:
     conjugator = fixtures.WORDS.get(args.conjugator) or _braid_word(args.conjugator)
     seed = fixtures.WORDS.get(args.seed) or _braid_word(args.seed)
     # step k normalises g^k seed g^-k seed^-1: at most 2|seed| + 2k|g| letters
@@ -203,11 +192,10 @@ def _cmd_garside_orbit(args) -> int:
         [f"period {len(orbit)} under {args.convention} conjugation"]
         + [f"  {w}" for w in orbit]
     )
-    _emit(payload, text, args.json)
-    return 0
+    return payload, text, 0
 
 
-def _cmd_garside_audit_presentation(args) -> int:
+def _cmd_garside_audit_presentation(args) -> Result:
     results = {label: nf.is_identity for label, nf in presentation_results().items()}
     payload = {
         "dictionary": {name: str(fixtures.WORDS[name]) for name in ("e", "f", "d")},
@@ -217,15 +205,14 @@ def _cmd_garside_audit_presentation(args) -> int:
     text = "\n".join(
         f"{label:<{width}}  {'pass' if ok else 'fail'}" for label, ok in results.items()
     )
-    _emit(payload, text, args.json)
-    return 0 if all(results.values()) else 1
+    return payload, text, 0 if all(results.values()) else 1
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _cmd_verify_index(args) -> int:
+def _cmd_verify_index(args) -> Result:
     if args.fixture:
         if args.fixture not in fixtures.SUBGROUPS:
             raise CliError(
@@ -273,16 +260,13 @@ def _cmd_verify_index(args) -> int:
     if len(runs) == 1 and not overflow:
         only = payload[strategies[0]]
         payload.update({"count": only["count"], "action": only["action"]})
-    _emit(payload, "\n".join(lines), args.json)
     if overflow:
-        return 2
-    verified_all = all(
-        payload[s].get("verified", False) for s in strategies
-    ) and len(counts) == 1
-    return 0 if verified_all else 1
+        return payload, "\n".join(lines), 2
+    ok = all(verified for _, verified in runs.values()) and len(counts) == 1
+    return payload, "\n".join(lines), 0 if ok else 1
 
 
-def _cmd_verify_pi(args) -> int:
+def _cmd_verify_pi(args) -> Result:
     claims = matrix_claims()
     assignment = claims["assignment"]
     relator_report = [
@@ -303,16 +287,15 @@ def _cmd_verify_pi(args) -> int:
     ]
     lines += [f"{label}: {'pass' if ok else 'fail'}" for label, ok in identities.items()]
     lines.append(f"x y x^-2 maps to -T: {'pass' if payload['is_minus_T'] else 'fail'}")
-    _emit(payload, "\n".join(lines), args.json)
     ok = (
         all(entry["identity"] for entry in relator_report)
         and all(identities.values())
         and payload["is_minus_T"]
     )
-    return 0 if ok else 1
+    return payload, "\n".join(lines), 0 if ok else 1
 
 
-def _cmd_verify_perm(args) -> int:
+def _cmd_verify_perm(args) -> Result:
     claims = strand_claims()
     checks = {label: ok for facts in claims["facts"].values() for label, ok in facts.items()}
     payload = {
@@ -324,15 +307,14 @@ def _cmd_verify_perm(args) -> int:
         "checks": checks,
     }
     text = "\n".join(f"{label}: {'pass' if ok else 'fail'}" for label, ok in checks.items())
-    _emit(payload, text, args.json)
-    return 0 if all(checks.values()) else 1
+    return payload, text, 0 if all(checks.values()) else 1
 
 
 # ---------------------------------------------------------------------------
 # complex
 
 
-def _cmd_complex_build(args) -> int:
+def _cmd_complex_build(args) -> Result:
     cx = _load("complex", args.name)
     payload = {
         "vertices": len(cx.vertices),
@@ -343,21 +325,19 @@ def _cmd_complex_build(args) -> int:
     text = "\n".join(cx.to_lines()) + (
         f"\n# chi = {payload['euler_characteristic']}"
     )
-    _emit(payload, text, args.json)
-    return 0
+    return payload, text, 0
 
 
-def _cmd_complex_link(args) -> int:
-    link = _load_link(args)
+def _cmd_complex_link(args) -> Result:
+    link = vertex_link(_load("complex", args.name), args.vertex)
     if args.smooth:
         link = link.smooth()
     payload = _graph_json(link)
-    _emit(payload, "\n".join(link.to_lines()), args.json)
-    return 0
+    return payload, "\n".join(link.to_lines()), 0
 
 
-def _cmd_complex_cat0(args) -> int:
-    link = _load_link(args)
+def _cmd_complex_cat0(args) -> Result:
+    link = vertex_link(_load("complex", args.name), args.vertex)
     by_deletion, by_enumeration = link.girth(), link.girth_exhaustive()
     # the link condition: no cycle, or girth at least 2 pi
     ok = by_deletion == by_enumeration and (by_deletion is None or by_deletion >= 2)
@@ -375,15 +355,14 @@ def _cmd_complex_cat0(args) -> int:
         f"= {_pi_or_none(by_enumeration)} (enumeration)\n"
         f"nonpositively curved at {args.vertex}: {'yes' if ok else 'NO'}"
     )
-    _emit(payload, text, args.json)
-    return 0 if ok else 1
+    return payload, text, 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
 # graph
 
 
-def _cmd_graph_girth(args) -> int:
+def _cmd_graph_girth(args) -> Result:
     graph = _load("graph", args.name)
     by_deletion = graph.girth()
     payload = {"girth": _length_or_none(by_deletion)}
@@ -397,13 +376,10 @@ def _cmd_graph_girth(args) -> int:
         text = f"girth {format_length(by_deletion)} pi"
         if args.both:
             text += f", enumeration agrees: {'yes' if payload['agree'] else 'NO'}"
-    _emit(payload, text, args.json)
-    if args.both and not payload["agree"]:
-        return 1
-    return 0
+    return payload, text, 1 if args.both and not payload["agree"] else 0
 
 
-def _cmd_graph_dist(args) -> int:
+def _cmd_graph_dist(args) -> Result:
     graph = _load("graph", args.name)
     for node in (args.source, args.dest):
         if node not in graph.nodes:
@@ -411,23 +387,17 @@ def _cmd_graph_dist(args) -> int:
     d = graph.distance(args.source, args.dest)
     payload = {"from": args.source, "to": args.dest, "distance": _length_or_none(d)}
     text = "unreachable" if d is None else f"{format_length(d)} pi"
-    _emit(payload, text, args.json)
-    return 0
+    return payload, text, 0
 
 
 # ---------------------------------------------------------------------------
 # embed
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> Result:
     source = _load("graph", args.source)
     target = _load("graph", args.target)
-    automorphisms = None
-    if args.symmetry:
-        node_map = fixtures.link_symmetry(target)
-        if not target.is_automorphism(node_map):
-            raise CliError("the wing symmetry is not an automorphism of this target")
-        automorphisms = [node_map]
+    automorphisms = [fixtures.link_symmetry(target)] if args.symmetry else None
     outcome = find_embeddings(
         source,
         target,
@@ -467,40 +437,37 @@ def _cmd_embed(args) -> int:
             f"no embedding (exhaustive), {outcome.nodes_explored} search nodes, "
             f"prunes {dict(outcome.prunes)}"
         )
-    _emit(payload, text, args.json)
-    return 0 if verified else 1
+    return payload, text, 0 if verified else 1
 
 
 # ---------------------------------------------------------------------------
 # audit and export
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> Result:
     if args.list:
         idents = check_identifiers(args.checks or None)
-        _emit({"checks": idents}, "\n".join(idents), args.json)
-        return 0
+        return {"checks": idents}, "\n".join(idents), 0
     report = run_audit(only=args.checks or None, cap=args.cap, convention=args.convention)
     header = "\n".join(
         f"# {key}: {value}" for key, value in sorted(report.meta.items())
     )
     text = header + "\n" + report.to_text()
-    _emit(report.to_json_dict(), text, args.json)
-    return report.exit_code
+    return report.to_json_dict(), text, report.exit_code
 
 
 _EXPORT_FORMATS = ("text", "json", "dot")
 
 
-def _export_object(name: str, fmt: str):
-    """Returns (payload-or-None, text-or-None); exactly one is set per format."""
+def _cmd_export(args) -> Result:
+    name, fmt = args.object, args.format
     if name in fixtures.GRAPH_NAMES:
         graph = fixtures.graph_fixture(name)
         if fmt == "dot":
-            return None, graph.to_dot()
+            return None, graph.to_dot(), 0
         if fmt == "text":
-            return None, "\n".join(graph.to_lines())
-        return _graph_json(graph), None
+            return None, "\n".join(graph.to_lines()), 0
+        return _graph_json(graph), None, 0
     if fmt == "dot":
         if name in fixtures.COMPLEX_NAMES:
             raise CliError("dot export is for graphs; export the link instead")
@@ -509,8 +476,8 @@ def _export_object(name: str, fmt: str):
     if name in fixtures.COMPLEX_NAMES:
         cx = fixtures.complex_fixture(name)
         if fmt == "text":
-            return None, "\n".join(cx.to_lines())
-        return _complex_json(cx), None
+            return None, "\n".join(cx.to_lines()), 0
+        return _complex_json(cx), None, 0
     if name in fixtures.SUBGROUPS:
         factory, subgroup = fixtures.SUBGROUPS[name]
         result = enumerate_cosets(factory(), subgroup, strategy="hlt", cap=100_000)
@@ -520,14 +487,14 @@ def _export_object(name: str, fmt: str):
             rows = [f"index {result.count}"]
             for gen, images in sorted(result.action.items()):
                 rows.append(f"{gen}: {' '.join(str(i) for i in images)}")
-            return None, "\n".join(rows)
-        return result.to_json_dict(), None
+            return None, "\n".join(rows), 0
+        return result.to_json_dict(), None, 0
     if name == "audit-report":
         report = run_audit()
         if fmt == "text":
-            return None, report.to_text()
+            return None, report.to_text(), 0
         # timing stripped so equal builds export equal bytes
-        return report.to_json_dict(include_timing=False), None
+        return report.to_json_dict(include_timing=False), None, 0
     known = (
         list(fixtures.GRAPH_NAMES)
         + list(fixtures.COMPLEX_NAMES)
@@ -535,17 +502,6 @@ def _export_object(name: str, fmt: str):
         + ["audit-report"]
     )
     raise CliError(f"unknown object {name!r}; have {', '.join(known)}")
-
-
-def _cmd_export(args) -> int:
-    payload, text = _export_object(args.object, args.format)
-    if text is None:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out is None or args.out == "-":
-        print(text)
-    else:
-        Path(args.out).write_text(text + "\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +515,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_json_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the result as JSON to PATH (- for stdout) instead of text",
-    )
+def _handled_by(parser: argparse.ArgumentParser, func, flag: str = "--json", **options) -> None:
+    """Makes ``func`` the subcommand's handler and adds, last, its output
+    flag, stored as ``args.json``: the path ``main`` writes to."""
+    options.setdefault("help", "write the result as JSON to PATH (- for stdout) instead of text")
+    parser.add_argument(flag, dest="json", metavar="PATH", **options)
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -579,14 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = gsub.add_parser("nf", help="left-greedy normal form of a word")
     p.add_argument("word", help="word over a, b, c (uppercase inverts)")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_garside_nf)
+    _handled_by(p, _cmd_garside_nf)
 
     p = gsub.add_parser("eq", help="decide equality of two words (exit 1 if different)")
     p.add_argument("left")
     p.add_argument("right")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_garside_eq)
+    _handled_by(p, _cmd_garside_eq)
 
     p = gsub.add_parser("orbit", help="conjugation orbit of a seed word")
     p.add_argument("conjugator", help="word, or a dictionary name like x or y")
@@ -598,15 +552,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="left: w -> g w g^-1 (default); right: w -> g^-1 w g",
     )
     p.add_argument("--max-steps", type=_positive_int, default=16)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_garside_orbit)
+    _handled_by(p, _cmd_garside_orbit)
 
     p = gsub.add_parser(
         "audit-presentation",
         help="check the ten defining equalities of the six-generator presentation",
     )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_garside_audit_presentation)
+    _handled_by(p, _cmd_garside_audit_presentation)
 
     verify = sub.add_parser("verify", help="index, matrix, and permutation checks")
     vsub = verify.add_subparsers(dest="subcommand", required=True)
@@ -622,24 +574,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=("hlt", "felsch", "both"), default="both"
     )
     p.add_argument("--cap", type=_positive_int, default=100_000, help="max cosets defined")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify_index)
+    _handled_by(p, _cmd_verify_index)
 
     p = vsub.add_parser("pi", help="the matrix homomorphism kills the relators")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify_pi)
+    _handled_by(p, _cmd_verify_pi)
 
     p = vsub.add_parser("perm", help="the strand-permutation images")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify_perm)
+    _handled_by(p, _cmd_verify_perm)
 
     cx = sub.add_parser("complex", help="triangle complexes and their links")
     csub = cx.add_subparsers(dest="subcommand", required=True)
 
     p = csub.add_parser("build", help="build a named complex and print it")
     p.add_argument("name", help=f"fixture ({', '.join(fixtures.COMPLEX_NAMES)}) or file")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_complex_build)
+    _handled_by(p, _cmd_complex_build)
 
     p = csub.add_parser("link", help="vertex link as a metric graph")
     p.add_argument("name")
@@ -647,16 +595,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--smooth", action="store_true", help="suppress degree-two nodes first"
     )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_complex_link)
+    _handled_by(p, _cmd_complex_link)
 
     p = csub.add_parser(
         "cat0", help="link condition: girth of the vertex link is at least 2 pi"
     )
     p.add_argument("name")
     p.add_argument("--vertex", default="o")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_complex_cat0)
+    _handled_by(p, _cmd_complex_cat0)
 
     graph = sub.add_parser("graph", help="metric-graph computations")
     grsub = graph.add_subparsers(dest="subcommand", required=True)
@@ -668,15 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the exhaustive algorithm and compare",
     )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_graph_girth)
+    _handled_by(p, _cmd_graph_girth)
 
     p = grsub.add_parser("dist", help="shortest path length between two nodes")
     p.add_argument("name")
     p.add_argument("source")
     p.add_argument("dest")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_graph_dist)
+    _handled_by(p, _cmd_graph_dist)
 
     p = sub.add_parser(
         "embed", help="search for locally isometric embeddings between graphs"
@@ -695,8 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="include every certificate in the JSON payload",
     )
     p.add_argument("--trace", metavar="PATH", help="write the full search tree as JSON")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_embed)
+    _handled_by(p, _cmd_embed)
 
     p = sub.add_parser("audit", help="run the whole claim catalogue")
     p.add_argument(
@@ -713,14 +656,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="left",
         help="conjugation direction for the orbit checks, echoed in the header",
     )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_audit)
+    _handled_by(p, _cmd_audit)
 
     p = sub.add_parser("export", help="dump a named fixture or the audit report")
     p.add_argument("object")
     p.add_argument("--format", choices=_EXPORT_FORMATS, default="text")
-    p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    p.set_defaults(func=_cmd_export)
+    _handled_by(p, _cmd_export, "--out", default="-", help="output file (default stdout)")
 
     return parser
 
@@ -729,10 +670,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, text, code = args.func(args)
+        if args.json is not None and payload is not None:
+            text = json.dumps(payload, indent=2, sort_keys=True)
+        if args.json in (None, "-"):
+            print(text)
+        else:
+            Path(args.json).write_text(text + "\n")
+        return code
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"error: input too deep to search; the recursion limit is {limit}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -378,8 +378,6 @@ class _Search:
         return {"source_arc": [u, v], "length": self._format(self.src_length[arc_index])}
 
     def _assign(self, k: int, parent: SearchNode | None) -> None:
-        if self.stop:
-            return
         if k == len(self.node_order):
             certificate = Embedding(
                 node_images=tuple(sorted(self.images.items())),
@@ -444,8 +442,6 @@ class _Search:
     def _route_ready(
         self, ready: list[int], i: int, k: int, parent: SearchNode | None
     ) -> None:
-        if self.stop:
-            return
         if i == len(ready):
             self._assign(k + 1, parent)
             return

@@ -237,8 +237,9 @@ def test_right_convention_breaks_the_asymmetric_orbits():
     assert "right" in report.meta["conjugation"]
 
 
-def test_tiny_cap_is_inconclusive_not_failed():
-    report = run_audit(only=["index:four"], cap=2)
+@pytest.mark.parametrize("check", ["index:four", "index:matrix-pair", "perm:coset-match"])
+def test_tiny_cap_is_inconclusive_not_failed(check):
+    report = run_audit(only=[check], cap=2)
     assert [r.status for r in report.results] == ["inconclusive"]
     assert report.exit_code == 2
 

@@ -1,6 +1,7 @@
 """The command line surface: parsing, exit codes, JSON payloads, exports."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import braidcat
 from braidcat.audit import run_audit
 from braidcat.cli import main
 from braidcat.complexes import TriComplex
+from braidcat.fixtures import COMPLEX_NAMES, GRAPH_NAMES, SUBGROUPS, graph_fixture
 from braidcat.metric_graph import MetricGraph, format_length
 
 
@@ -337,6 +339,40 @@ def test_long_lengths_are_not_infinite(tmp_path, capsys):
     assert code == 0 and out.strip() == "1000000001/1 pi"
 
 
+def unit_paths(ends, count, length):
+    """Graph lines: ``count`` paths of ``length`` unit arcs from the first
+    end to the last, so cycles when ``ends`` is one node."""
+    lines = [f"node {end}" for end in ends]
+    for k in range(count):
+        path = [ends[0], *(f"m{k}_{j}" for j in range(1, length)), ends[-1]]
+        lines += [f"node {node}" for node in path[1:-1]]
+        lines += [f"arc {u} {v} 1/1" for u, v in zip(path, path[1:])]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("search", ["girth", "embed"])
+def test_input_deeper_than_the_recursion_limit_is_refused(tmp_path, capsys, search):
+    # Each search recurses once per node of a path: on a 60-node cycle,
+    # and along a 60-arc route of a theta graph into its subdivision.
+    theta, target = tmp_path / "theta.txt", tmp_path / "target.txt"
+    theta.write_text("node p\nnode q\n" + "arc p q 60/1\n" * 3)
+    target.write_text(unit_paths(["p", "q"], 3, 60))
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text(unit_paths(["v"], 1, 60))
+    argv = {
+        "girth": ("graph", "girth", str(cycle), "--both"),
+        "embed": ("embed", "--source", str(theta), "--target", str(target), "--mode", "first"),
+    }[search]
+    limit, low = sys.getrecursionlimit(), len(inspect.stack(0)) + 40
+    sys.setrecursionlimit(low)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2 and out == ""
+    assert err == f"error: input too deep to search; the recursion limit is {low}\n"
+
+
 def test_no_cycle_and_no_path_render_as_null(tmp_path, capsys):
     path = tmp_path / "path.txt"
     path.write_text("node a\nnode b\nnode c\narc a b 1/1\n")
@@ -490,12 +526,23 @@ def test_embed_rejects_thin_source(capsys):
     assert "degree" in err
 
 
-def test_embed_symmetry_needs_a_compatible_target(capsys):
+def test_embed_symmetry_needs_a_compatible_target(capsys, tmp_path):
     code, _, err = run(
         capsys, "embed",
         "--source", "brady-link", "--target", "brady-link", "--symmetry",
     )
     assert code == 2
+    # the glued link's node names, but one arc longer: no wing symmetry
+    lines = graph_fixture("x1bar-link-smooth").to_lines()
+    first = next(k for k, line in enumerate(lines) if line.startswith("arc "))
+    lines[first] = lines[first].rsplit(" ", 1)[0] + " 7/3"
+    path = tmp_path / "lopsided.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(
+        capsys, "embed", "--source", "brady-link", "--target", str(path), "--symmetry"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "automorphism" in err and err.count("\n") == 1
 
 
 # -- audit ------------------------------------------------------------------
@@ -644,6 +691,61 @@ def test_export_dot_rejected_before_building(capsys, monkeypatch, name):
     monkeypatch.setattr("braidcat.cli.enumerate_cosets", refuse)
     code, _, err = run(capsys, "export", name, "--format", "dot")
     assert code == 2 and err.strip() == "error: dot export is for graphs"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+@pytest.mark.parametrize(
+    "name", [*GRAPH_NAMES, *COMPLEX_NAMES, *sorted(SUBGROUPS), "audit-report"]
+)
+def test_every_export_writes_to_out_what_it_prints(tmp_path, capsys, name, fmt):
+    path = tmp_path / "out"
+    code, out, err = run(capsys, "export", name, "--format", fmt)
+    assert run(capsys, "export", name, "--format", fmt, "--out", str(path)) == (code, "", err)
+    if fmt == "dot" and name not in GRAPH_NAMES:
+        assert code == 2 and out == "" and not path.exists()
+        assert err.startswith("error: dot export is for graphs") and err.count("\n") == 1
+    else:
+        assert code == 0 and err == "" and out.endswith("\n")
+        assert path.read_bytes() == out.encode()
+        if fmt == "json":
+            json.loads(out)
+
+
+def without_seconds(report: dict) -> dict:
+    for entry in report["results"]:
+        del entry["seconds"]
+    return report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("garside", "nf", "a b a B A B"),
+        ("garside", "eq", "a", "b"),
+        ("garside", "orbit", "x", "a"),
+        ("garside", "audit-presentation"),
+        ("verify", "index", "--fixture", "index-four"),
+        ("verify", "pi"),
+        ("verify", "perm"),
+        ("complex", "build", "x1bar"),
+        ("complex", "link", "x1bar", "--smooth"),
+        ("complex", "cat0", "ybar1"),
+        ("graph", "girth", "brady-link", "--both"),
+        ("graph", "dist", "x1bar-link-smooth", "t1+", "t2-"),
+        ("embed", "--source", "brady-link", "--target", "ybar1-link-smooth"),
+        ("audit", "presentation", "index:four"),
+        ("audit", "--list"),
+    ],
+)
+def test_json_file_holds_what_json_stdout_prints(tmp_path, capsys, argv):
+    path = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "--json", "-")
+    assert run(capsys, *argv, "--json", str(path)) == (code, "", err)
+    printed, written = out.encode(), path.read_bytes()
+    if argv[0] == "audit" and "--list" not in argv:
+        # the per-check timings differ between any two runs
+        printed, written = (without_seconds(json.loads(data)) for data in (printed, written))
+    assert written == printed
 
 
 # -- the installed entry point ----------------------------------------------

@@ -120,6 +120,18 @@ def test_trivial_presentation():
     assert res.count == 1
 
 
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+def test_coincidence_completed_from_the_inverse_column(strategy):
+    # Found by random search.  While the cosets collapse to one, coincidence
+    # processing meets an entry tab[mu][col] still empty whose inverse entry
+    # tab[nu][col ^ 1] is already set, and merges mu with that entry's coset.
+    relators = tuple(parse(r, ALPHABET_XY) for r in ("YYxYXyY", "xyXX", "XYXX"))
+    pres = Presentation(ALPHABET_XY, relators)
+    res = enumerate_cosets(pres, [], strategy=strategy)
+    assert res.count == 1
+    assert all(ok for _, ok in verify_table(res, pres, []))
+
+
 # -- the verifier's power: each check on its own ----------------------------
 
 CHECKS = (
