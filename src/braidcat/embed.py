@@ -42,21 +42,25 @@ Arithmetic: the search runs on integers.  Every arc length of both
 graphs, and every distance between their nodes, is a multiple of 1/L,
 where L is the least common multiple of the arc lengths' denominators,
 so routing budgets and distance comparisons are exact integer
-operations on lengths measured in units of 1/L.  Each graph's exact
-``distance_table()`` (one ``distances_from`` search per node, or the
-caller's ``distances``) is scaled to 1/L.  Lengths turn back into
-fractions only where they are reported, each distinct length once.  The
-decision tree, every pruned branch with the reason it died, is built
-only when a trace is requested; without one no record is built at any
-node and the search keeps just its counters, the same either way: nodes
-explored, prunes by reason, and distance prunes by distance pair.
+operations on lengths measured in units of 1/L.  A node's exact
+``distances_from`` row is scaled to 1/L when the search first places it
+(or uses it as an image) and kept for the rest of the search; the
+distance test reads d(w, u) and d(f(w), t) from the rows of each placed
+node w and its image f(w).  Lengths turn back into fractions only where
+they are reported, each distinct length once.  The decision tree, every
+pruned branch with the reason it died, is built only when a trace is
+requested; without one no record is built at any node and the search
+keeps just its counters, the same either way: nodes explored, prunes by
+reason, and distance prunes by distance pair.
 
 Root symmetry: the image of the first source node may be restricted to
 one representative per orbit of a supplied group of target
 automorphisms.  Composing an embedding with a target automorphism is
 again an embedding, so existence and refutation are unaffected; the
 certificate list is then complete up to that symmetry, and the trace
-records the restriction.
+records the restriction.  Composing with g maps the certificates whose
+root lands on t one-to-one onto those whose root lands on g(t), so
+``certificates_total`` recovers the unreduced count from them.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ __all__ = [
     "find_embeddings",
     "verify_embedding",
     "orbit_representatives",
+    "certificates_total",
 ]
 
 # A dart is an oriented crossing of an arc: (arc index, 0) runs from
@@ -230,29 +235,35 @@ class SearchOutcome(
         return bool(self.certificates)
 
 
-def orbit_representatives(
-    graph: MetricGraph, automorphisms: list[dict[str, str]]
-) -> list[str]:
+def _orbit(node: str, automorphisms: list[dict[str, str]]) -> set[str]:
+    """A permutation's inverse is one of its powers, so the orbit of a node
+    under the generated group is its closure under the maps."""
+    orbit, new = set(), {node}
+    while new:
+        orbit |= new
+        new = {mapping[n] for mapping in automorphisms for n in new} - orbit
+    return orbit
+
+
+def orbit_representatives(graph: MetricGraph, automorphisms: list[dict[str, str]]) -> list[str]:
     """Least-named node of each orbit under the generated group.  Every
-    supplied map must actually be an automorphism.  A permutation's inverse
-    is one of its powers, so an orbit is one node's closure under the maps."""
+    supplied map must actually be an automorphism."""
     for mapping in automorphisms:
         if not graph.is_automorphism(mapping):
             raise ValueError(f"not an automorphism of the target: {mapping}")
-    reps = []
-    seen: set[str] = set()
-    for node in sorted(graph.nodes):
-        if node not in seen:
-            reps.append(node)
-            seen.add(node)
-            frontier = [node]
-            while frontier:
-                at = frontier.pop()
-                for mapping in automorphisms:
-                    if mapping[at] not in seen:
-                        seen.add(mapping[at])
-                        frontier.append(mapping[at])
-    return reps
+    return [n for n in sorted(graph.nodes) if n == min(_orbit(n, automorphisms))]
+
+
+def _search_order(degree: dict[str, int]) -> list[str]:
+    """Nodes in the order the search places them, root first: highest degree, then least name."""
+    return sorted(degree, key=lambda n: (-degree[n], n))
+
+
+def certificates_total(source: MetricGraph, certificates: list, automorphisms: list) -> int:
+    """The unreduced search's count, from every certificate found with the root restricted by
+    ``automorphisms``: each stands for the orbit of its root's image."""
+    root = _search_order(source.degrees())[0]
+    return sum(len(_orbit(dict(c.node_images)[root], automorphisms)) for c in certificates)
 
 
 def find_embeddings(
@@ -261,23 +272,20 @@ def find_embeddings(
     mode: str = "all",
     automorphisms: list[dict[str, str]] | None = None,
     with_trace: bool = False,
-    distances: tuple[dict, dict] | None = None,
 ) -> SearchOutcome:
     """Search for locally isometric embeddings of source into target.
 
     ``mode="first"`` stops at the first certificate, ``"all"`` collects
     every one (restricted at the root as described in the module
-    docstring when automorphisms are supplied).  ``distances`` is
-    ``(source.distance_table(), target.distance_table())`` or None.
+    docstring when automorphisms are supplied).
     """
     if mode not in ("all", "first"):
         raise ValueError(f"unknown mode {mode!r}")
-    search = _Search(source, target, mode, automorphisms or [], with_trace, distances)
-    return search.run()
+    return _Search(source, target, mode, automorphisms or [], with_trace).run()
 
 
 class _Search:
-    def __init__(self, source, target, mode, automorphisms, with_trace, distances):
+    def __init__(self, source, target, mode, automorphisms, with_trace):
         self.src_degree = source.degrees()
         bad = [n for n in source.nodes if self.src_degree[n] < 3]
         if bad:
@@ -285,10 +293,10 @@ class _Search:
                 f"source nodes {bad} have degree below three; smooth the graph first"
             )
         self.tgt_degree = target.degrees()
-        self.src = source
+        self.src, self.tgt = source, target
         self.mode = mode
         self.with_trace = with_trace
-        self.node_order = sorted(source.nodes, key=lambda n: (-self.src_degree[n], n))
+        self.node_order = _search_order(self.src_degree)
         self.candidates = sorted(target.nodes)
         self.root_candidates = (
             orbit_representatives(target, automorphisms) if automorphisms else self.candidates
@@ -311,8 +319,8 @@ class _Search:
             ]
             for node, darts in target.incidence().items()
         }
-        tables = distances or (source.distance_table(), target.distance_table())
-        self.src_dist, self.tgt_dist = map(self._scaled_table, tables)
+        # node placed (source) or used as an image (target) -> its scaled distances
+        self.src_rows, self.tgt_rows = {}, {}
         # (start, goal, scaled length) -> that key's embedded target paths
         self.paths: dict[tuple[str, str, int], list[_Path]] = {}
         self.texts: dict[int, str] = {}
@@ -341,12 +349,9 @@ class _Search:
             text = self.texts[scaled] = format_length(Fraction(scaled, self.scale))
         return text
 
-    def _scaled_table(self, table: dict) -> dict[str, dict[str, int | None]]:
-        """An exact distance table, with a row for every node, scaled; None where unreachable."""
-        return {
-            u: {v: self._scaled(row[v]) if v in row else None for v in table}
-            for u, row in table.items()
-        }
+    def _row(self, rows: dict, graph: MetricGraph, node: str) -> None:
+        if node not in rows:
+            rows[node] = {v: self._scaled(d) for v, d in graph.distances_from(node).items()}
 
     def run(self) -> SearchOutcome:
         root = None
@@ -404,6 +409,8 @@ class _Search:
                 continue
             self.images[u] = t
             self.occupied.add(t)
+            self._row(self.src_rows, self.src, u)
+            self._row(self.tgt_rows, self.tgt, t)
             self._route_ready(self.ready[k], 0, k, node)
             del self.images[u]
             self.occupied.remove(t)
@@ -417,9 +424,9 @@ class _Search:
             return "degree", None
         if t in self.occupied:
             return "target-node-used", None
-        src_row, tgt_row = self.src_dist[u], self.tgt_dist[t]
+        src_rows, tgt_rows = self.src_rows, self.tgt_rows
         for w, fw in self.images.items():
-            s, d = src_row[w], tgt_row[fw]
+            s, d = src_rows[w].get(u), tgt_rows[fw].get(t)
             if s is not None and (d is None or d > s):
                 self.distance_stats.setdefault((s, d), [0, u, t, w, fw])[0] += 1
                 return "distance", w
@@ -431,8 +438,8 @@ class _Search:
                 "reason": reason,
                 "source_pair": [u, w],
                 "target_pair": [t, fw],
-                "source_distance": self._format(self.src_dist[u][w]),
-                "target_distance": self._format(self.tgt_dist[t][fw]),
+                "source_distance": self._format(self.src_rows[w].get(u)),
+                "target_distance": self._format(self.tgt_rows[fw].get(t)),
             }
         detail = {"reason": reason, "source": u, "target": t}
         if reason == "degree":

@@ -14,7 +14,7 @@ cycles outright.  They must agree, and the test suite insists on it.
 
 Distances come from one Dijkstra loop, ``distances_from``, which
 settles every node a source reaches in one search; ``distance`` reads
-one pair from it, and ``distance_table`` makes one search per node.
+one pair from it.
 """
 
 from __future__ import annotations
@@ -102,10 +102,6 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
     def distance(self, source: str, target: str, skip_arc: int | None = None) -> Fraction | None:
         """Exact shortest-path distance; None when disconnected."""
         return self.distances_from(source, skip_arc).get(target)
-
-    def distance_table(self) -> dict[str, dict[str, Fraction]]:
-        """node -> ``distances_from(node)``, for every node."""
-        return {u: self.distances_from(u) for u in self.nodes}
 
     def girth(self) -> Fraction | None:
         """Shortest embedded cycle, via deletion of each arc in turn;

@@ -178,10 +178,11 @@ def test_audit_work_is_pinned(monkeypatch):
     monkeypatch.setattr(braidcat.audit, "find_embeddings", search)
     monkeypatch.setattr(MetricGraph, "distances_from", distances_from)
     report = run_audit()
-    # one exact table per graph: brady-link 8 nodes, x1bar-link-smooth 12, ybar1-link-smooth 2
-    assert calls["table row"] == 8 + 12 + 2
+    # each search makes the rows of the nodes it places, source + target: identity 8 + 8,
+    # wing 2 + 12, main 8 + 12; and link:smooth reads one distance
+    assert calls["table row"] == (8 + 8) + (2 + 12) + (8 + 12) + 1
     assert calls["girth deletion"] == 48
-    assert len(searches) == 4
+    assert len(searches) == 3
     assert not any(kwargs.get("with_trace") for kwargs in searches)
     witness = {r.ident: r for r in report.results}["embed:distance-obstruction"].witness
     assert json.dumps(witness) == json.dumps(

@@ -7,6 +7,7 @@ import pytest
 from braidcat.complexes import X1BAR_SYMMETRY, vertex_link, x1bar, ybar1
 from braidcat.embed import (
     Embedding,
+    certificates_total,
     find_embeddings,
     orbit_representatives,
     verify_embedding,
@@ -33,6 +34,16 @@ def theta(length=F(1)):
 def two_thetas():
     """Two theta components: no route joins a node of one to the other."""
     return MetricGraph(("P", "Q", "R", "S"), (("P", "Q", F(1)),) * 3 + (("R", "S", F(1)),) * 3)
+
+
+def subdivided_theta(length):
+    """The theta of three arcs of the given whole length, cut into unit arcs."""
+    nodes, arcs = ["P", "Q"], []
+    for k in range(3):
+        path = ["P", *(f"m{k}_{j}" for j in range(1, length)), "Q"]
+        nodes += path[1:-1]
+        arcs += [(u, v, F(1)) for u, v in zip(path, path[1:])]
+    return MetricGraph(tuple(nodes), tuple(arcs))
 
 
 def distance_prunes_in(trace):
@@ -211,10 +222,28 @@ def test_brady_link_embeds_in_smoothed_link():
 def test_brady_search_full_count_matches_orbit_count():
     src = brady_link()
     tgt = smoothed_link()
+    symmetry = [link_symmetry(tgt)]
+    reduced = find_embeddings(src, tgt, mode="all", automorphisms=symmetry)
     full = find_embeddings(src, tgt, mode="all")
     assert len(full.certificates) == 96  # 32 root-orbit representatives times 3
+    assert certificates_total(src, reduced.certificates, symmetry) == 96
     for emb in full.certificates[::11]:
         assert all(ok for _, ok in verify_embedding(src, tgt, emb))
+
+
+def test_wing_search_full_count_matches_orbit_count():
+    src = vertex_link(ybar1(), "o").smooth()
+    tgt = smoothed_link()
+    symmetry = [link_symmetry(tgt)]
+    reduced = find_embeddings(src, tgt, mode="all", automorphisms=symmetry)
+    full = find_embeddings(src, tgt, mode="all")
+    assert (len(reduced.certificates), len(full.certificates)) == (144, 432)
+    assert certificates_total(src, reduced.certificates, symmetry) == 432
+    # both nodes have degree three, so the root is t+, the least name, and
+    # only its images are restricted to orbit representatives
+    reps = set(orbit_representatives(tgt, symmetry))
+    assert {dict(c.node_images)["t+"] for c in reduced.certificates} <= reps
+    assert not {dict(c.node_images)["t-"] for c in reduced.certificates} <= reps
 
 
 def test_known_certificate_is_found():
@@ -309,11 +338,35 @@ AUDIT_SEARCH_WORK = [
 def test_audit_search_work_is_pinned(case):
     src, tgt, mode, automorphisms = _audit_searches()[case]
     explored, certificates, prunes = AUDIT_SEARCH_WORK[case]
-    # the search builds its own distance tables or scales the ones it is given
-    for distances in (None, (src.distance_table(), tgt.distance_table())):
-        out = find_embeddings(src, tgt, mode=mode, automorphisms=automorphisms, distances=distances)
-        assert out.nodes_explored == explored
+    out = find_embeddings(src, tgt, mode=mode, automorphisms=automorphisms)
+    assert out.nodes_explored == explored
+    assert len(out.certificates) == certificates
+    assert dict(out.prunes) == prunes
+
+
+def test_distance_rows_are_made_when_a_node_is_first_placed(monkeypatch):
+    """Each search makes the rows of the two source nodes and of their two
+    images only, not one row per node of both graphs (2 + 179)."""
+    src, tgt = theta(F(60)), subdivided_theta(60)
+    assert len(tgt.nodes) == 179
+    calls = []
+    real = MetricGraph.distances_from
+
+    def distances_from(graph, node, skip_arc=None):
+        calls.append(node)
+        return real(graph, node, skip_arc)
+
+    monkeypatch.setattr(MetricGraph, "distances_from", distances_from)
+    work = {
+        "all": (12, 567, {"degree": 531, "target-node-used": 2}),
+        "first": (1, 6, {"target-node-used": 1}),
+    }
+    for mode, (certificates, explored, prunes) in work.items():
+        calls.clear()
+        out = find_embeddings(src, tgt, mode=mode)
+        assert len(calls) == 4
         assert len(out.certificates) == certificates
+        assert out.nodes_explored == explored
         assert dict(out.prunes) == prunes
 
 
