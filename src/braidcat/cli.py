@@ -42,7 +42,7 @@ from .words import ALPHABET_ABC, Alphabet, Word, parse
 __all__ = ["main"]
 
 # The longest word the garside commands take: a normal form costs time
-# quadratic in the word's length, about 3 s at 4,000 letters.
+# quadratic in the word's length, about 1 s at 4,000 letters.
 MAX_BRAID_LETTERS = 4_000
 
 

@@ -18,14 +18,14 @@ braid words.  Under that convention the generators that can start a
 simple element are its descents, and those that can end it are the
 descents of its inverse.
 
-There are only 24 simple elements, so left weighting of a pair and
-conjugation by D are memoised over them (at most 576 and 24 entries);
-the sweep that applies them stays quadratic on purpose (``_normalise``).
+There are only 24 simple elements, so the sweep (``_normalise``) runs on
+their indices into ``SIMPLES``: descents are bit masks, and the product,
+left weighting (576 pairs) and conjugation by D (24) are tables built at
+import.  The sweep stays quadratic on purpose.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from collections import namedtuple
@@ -96,24 +96,37 @@ def simple_word(p: Perm) -> Word:
     return Word(tuple(letters))
 
 
-@functools.cache
+# Simple elements by index (0 is the identity, 23 is D); _THEN[p][q] is "p then q".
+SIMPLES: tuple[Perm, ...] = tuple(itertools.permutations(range(4)))
+_INDEX = {p: k for k, p in enumerate(SIMPLES)}
+_START = [sum(1 << i for i in starting_set(p)) for p in SIMPLES]
+_FINISH = [sum(1 << i for i in finishing_set(p)) for p in SIMPLES]
+_THEN = [[_INDEX[compose(p, q)] for q in SIMPLES] for p in SIMPLES]
+_ID, _D = _INDEX[IDENTITY], _INDEX[DELTA]
+_FLIP = [_THEN[_THEN[_D][p]][_D] for p in range(24)]
+_GEN = [_INDEX[s] for s in GENERATOR_PERMS]
+_D_GEN_INVERSE = [_THEN[_D][s] for s in _GEN]  # D a_i^-1, a simple element
+
+
+def _slide(p: int, q: int) -> tuple[int, int]:
+    """Slide generators from q's head to p's tail, lowest first; p q is kept."""
+    while movable := _START[q] & ~_FINISH[p]:
+        s = _GEN[(movable & -movable).bit_length() - 1]
+        p, q = _THEN[p][s], _THEN[s][q]
+    return p, q
+
+
+_LEFT_WEIGHT = [[_slide(p, q) for q in range(24)] for p in range(24)]
+
+
 def _flip(p: Perm) -> Perm:
     # Conjugation by the half twist reverses the strand order.
-    return compose(compose(DELTA, p), DELTA)
+    return SIMPLES[_FLIP[_INDEX[p]]]
 
 
-@functools.cache
 def _left_weight(p: Perm, q: Perm) -> tuple[Perm, Perm]:
-    """Slide generators from the head of q to the tail of p until the
-    pair is left weighted.  The product p q is unchanged."""
-    while True:
-        movable = starting_set(q) - finishing_set(p)
-        if not movable:
-            return p, q
-        i = min(movable)
-        s = GENERATOR_PERMS[i]
-        p = compose(p, s)
-        q = compose(s, q)
+    """The left-weighted pair with the product p q."""
+    return tuple(SIMPLES[k] for k in _LEFT_WEIGHT[_INDEX[p]][_INDEX[q]])
 
 
 class NormalForm(namedtuple("NormalForm", "power factors", defaults=(0, ()))):
@@ -177,41 +190,42 @@ def normal_form(word: Word) -> NormalForm:
     factors.
     """
     power = 0
-    factors: list[Perm] = []
+    factors: list[int] = []
     for name, sign in word.letters:
         i = GENERATOR_NAMES.index(name)
         if sign > 0:
-            factors.append(GENERATOR_PERMS[i])
+            factors.append(_GEN[i])
         else:
             power -= 1
-            factors = [_flip(p) for p in factors]
-            factors.append(compose(DELTA, GENERATOR_PERMS[i]))
+            factors = [_FLIP[p] for p in factors]
+            factors.append(_D_GEN_INVERSE[i])
         factors = _normalise(factors)
-        while factors and factors[0] == DELTA:
+        while factors and factors[0] == _D:
             power += 1
             factors = factors[1:]
-    return NormalForm(power, tuple(factors))
+    return NormalForm(power, tuple(SIMPLES[p] for p in factors))
 
 
-def _normalise(factors: list[Perm]) -> list[Perm]:
+def _normalise(factors: list[int]) -> list[int]:
     """Repeated local moves until every adjacent pair is left weighted.
 
-    Any D produced by the moves migrates to the front because a factor
-    equal to D absorbs every generator, so left weighting slides all of
-    its successor into it.  Each move is a lookup in the memoised pair
-    table, but the sweep stays quadratic on purpose: a linear one fits so
-    many more jobs into a benchmark run that the harness's per-job
-    records, not braidcat, break the peak-memory bound (see ROADMAP).
+    Factors are indices into ``SIMPLES``.  Any D produced by the moves
+    migrates to the front because a factor equal to D absorbs every
+    generator, so left weighting slides all of its successor into it.
+    Each move is a lookup in the ``_LEFT_WEIGHT`` table, but the sweep
+    stays quadratic on purpose: a linear one fits so many more jobs into
+    a benchmark run that the harness's per-job records, not braidcat,
+    break the peak-memory bound (see ROADMAP).
     """
-    factors = [p for p in factors if p != IDENTITY]
+    factors = [p for p in factors if p != _ID]
     changed = True
     while changed:
         changed = False
         for i in range(len(factors) - 2, -1, -1):
-            p, q = _left_weight(factors[i], factors[i + 1])
-            if (p, q) != (factors[i], factors[i + 1]):
+            p, q = _LEFT_WEIGHT[factors[i]][factors[i + 1]]
+            if p != factors[i]:  # a move always lengthens p
                 changed = True
-                factors[i : i + 2] = [x for x in (p, q) if x != IDENTITY]
+                factors[i : i + 2] = (p, q) if q != _ID else (p,)
     return factors
 
 

@@ -132,6 +132,21 @@ def test_ybar1_link_is_theta_after_smoothing():
     ] * 3
 
 
+@pytest.mark.parametrize("build, triangles, loops", [(x1bar, 9, 9), (ybar1, 3, 4)])
+def test_link_counting_identities(build, triangles, loops):
+    # A second judge of vertex_link from counts alone: each loop edge at o
+    # has two ends there, each triangle puts its three corners there, and
+    # Euclidean corner angles sum to pi (lengths are in units of pi).
+    cx = build()
+    assert len(cx.triangles) == triangles
+    assert sum(src == dst == "o" for _, src, dst in cx.edges) == loops == len(cx.edges)
+    link = vertex_link(cx, "o")
+    assert sum(length for _, _, length in link.arcs) == triangles
+    assert len(link.nodes) == 2 * loops
+    assert len(link.arcs) == 3 * triangles
+    assert sum(link.degrees().values()) == 6 * triangles
+
+
 def test_symmetry_is_order_three_automorphism():
     cx = x1bar()
     assert is_edge_automorphism(cx, X1BAR_SYMMETRY)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -6,7 +7,10 @@ import re
 import pytest
 
 from braidcat.garside import (
+    _FLIP,
+    _LEFT_WEIGHT,
     DELTA,
+    SIMPLES,
     NormalForm,
     _flip,
     _left_weight,
@@ -104,9 +108,88 @@ def test_left_weight_pair_table():
     for p in simples:  # conjugation by D: an involution that swaps a and c
         assert _flip(_flip(p)) == p
         assert starting_set(_flip(p)) == {2 - i for i in starting_set(p)}
-    # The memos are bounded by the 24 simple elements, not by any input.
-    assert _left_weight.cache_info().currsize <= 24 * 24
-    assert _flip.cache_info().currsize <= 24
+    # The tables hold one entry per pair of simple elements and per element.
+    assert sum(len(row) for row in _LEFT_WEIGHT) == 24 * 24
+    assert len(_FLIP) == 24
+
+
+def test_left_weight_table_commutes_with_flip():
+    # Conjugation by D is an automorphism, so it carries the unique
+    # left-weighted pair of p q to that of flip(p) flip(q).
+    for p, q in itertools.product(range(24), repeat=2):
+        p2, q2 = _LEFT_WEIGHT[p][q]
+        assert _LEFT_WEIGHT[_FLIP[p]][_FLIP[q]] == (_FLIP[p2], _FLIP[q2])
+    assert [SIMPLES[_FLIP[k]] for k in range(24)] == [
+        tuple(3 - v for v in reversed(p)) for p in SIMPLES
+    ]
+
+
+# A reference sweep: the kernel's moves in the same order, but on one-line
+# permutations, with descents as sets and memoised left weighting.  It
+# shares no code with the kernel, so it judges every table the kernel uses.
+def _ref_then(p, q):
+    return tuple(q[p[i]] for i in range(4))
+
+
+def _ref_descents(p):
+    return {i for i in range(3) if p[i] > p[i + 1]}
+
+
+def _ref_inverse(p):
+    return tuple(sorted(range(4), key=p.__getitem__))
+
+
+_REF_GENS = ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
+_REF_ID, _REF_D = (0, 1, 2, 3), (3, 2, 1, 0)
+
+
+@functools.cache
+def _ref_left_weight(p, q):
+    while movable := _ref_descents(q) - _ref_descents(_ref_inverse(p)):
+        s = _REF_GENS[min(movable)]
+        p, q = _ref_then(p, s), _ref_then(s, q)
+    return p, q
+
+
+def reference_normal_form(word):
+    power, factors = 0, []
+    for name, sign in word.letters:
+        i = "abc".index(name)
+        if sign > 0:
+            factors.append(_REF_GENS[i])
+        else:
+            power -= 1
+            factors = [_ref_then(_ref_then(_REF_D, p), _REF_D) for p in factors]
+            factors.append(_ref_then(_REF_D, _REF_GENS[i]))
+        factors = [p for p in factors if p != _REF_ID]
+        changed = True
+        while changed:
+            changed = False
+            for j in range(len(factors) - 2, -1, -1):
+                p, q = _ref_left_weight(factors[j], factors[j + 1])
+                if (p, q) != (factors[j], factors[j + 1]):
+                    changed = True
+                    factors[j : j + 2] = [x for x in (p, q) if x != _REF_ID]
+        while factors and factors[0] == _REF_D:
+            power += 1
+            factors = factors[1:]
+    return NormalForm(power, tuple(factors))
+
+
+def test_normal_form_matches_the_reference_sweep():
+    rng = random.Random(SEED + 5)
+    cases = [parse(f"a b^{k}") for k in (1, 2, 5, 60, 299)]
+    cases += [parse(f"A B^{k}") for k in (1, 7, 150)]
+    for inverse_share in (0.0, 0.1, 0.5, 0.9, 1.0):
+        for length in (1, 3, 10, 40, 120, 300):
+            cases.append(
+                Word.from_letters(
+                    (rng.choice("abc"), -1 if rng.random() < inverse_share else 1)
+                    for _ in range(length)
+                )
+            )
+    for w in cases:
+        assert normal_form(w) == reference_normal_form(w), w
 
 
 def test_flip_is_delta_conjugation():
