@@ -171,6 +171,10 @@ class _Context:
             self._memo[key] = fn(*args)
         return self._memo[key]
 
+    def graph(self, name: str) -> MetricGraph:
+        """A graph fixture, built from the fixtures this memo holds."""
+        return self(fixtures.graph_fixture, name, self)
+
 
 def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
@@ -315,8 +319,8 @@ def _main_search(ctx):
     """Every embedding of the reference link into the smoothed glued link up to
     the wing symmetry; embed:main and embed:distance-obstruction share it as
     ``ctx(_main_search, ctx)``, since it takes its graphs from the memo."""
-    source = ctx(fixtures.graph_fixture, "brady-link")
-    target = ctx(fixtures.graph_fixture, "x1bar-link-smooth")
+    source = ctx.graph("brady-link")
+    target = ctx.graph("x1bar-link-smooth")
     return find_embeddings(
         source, target, mode="all", automorphisms=[fixtures.link_symmetry(target)]
     )
@@ -625,7 +629,7 @@ def _perm_coset_match(ctx):
 )
 def _wing_complex(ctx):
     cx = ctx(fixtures.complex_fixture, "ybar1")
-    link = ctx(fixtures.graph_fixture, "ybar1-link")
+    link = ctx.graph("ybar1-link")
     ok = (
         len(cx.vertices) == 1
         and len(cx.edges) == 4
@@ -659,7 +663,7 @@ def _glued_complex(ctx):
     "link:census", "the glued-complex link has 18 direction nodes and 27 corner arcs of length pi/3"
 )
 def _link_census(ctx):
-    link = ctx(fixtures.graph_fixture, "x1bar-link")
+    link = ctx.graph("x1bar-link")
     degree = link.degrees()
     ok = (
         len(link.nodes) == 18
@@ -678,7 +682,7 @@ def _link_census(ctx):
 
 @_check("link:bipartite", "the glued-complex link is bipartite")
 def _link_bipartite(ctx):
-    return _status(ctx(fixtures.graph_fixture, "x1bar-link").is_bipartite()), {}
+    return _status(ctx.graph("x1bar-link").is_bipartite()), {}
 
 
 @_check(
@@ -687,7 +691,7 @@ def _link_bipartite(ctx):
     "the vertex",
 )
 def _link_girth(ctx):
-    link = ctx(fixtures.graph_fixture, "x1bar-link")
+    link = ctx.graph("x1bar-link")
     by_deletion, by_enumeration = link.girth(), link.girth_exhaustive()
     flat = by_deletion == by_enumeration == Fraction(2)
     return _status(flat), {
@@ -698,7 +702,7 @@ def _link_girth(ctx):
 
 @_check("link:wing-girth", "the single-wing link also has girth 2 pi")
 def _wing_girth(ctx):
-    link = ctx(fixtures.graph_fixture, "ybar1-link")
+    link = ctx.graph("ybar1-link")
     by_deletion, by_enumeration = link.girth(), link.girth_exhaustive()
     flat = by_deletion == by_enumeration == Fraction(2)
     return _status(flat), {"girth": format_length(by_deletion)}
@@ -710,7 +714,7 @@ def _wing_girth(ctx):
     "distance pi from t2-",
 )
 def _smoothing(ctx):
-    sm = ctx(fixtures.graph_fixture, "x1bar-link-smooth")
+    sm = ctx.graph("x1bar-link-smooth")
     lengths = Counter(length for _, _, length in sm.arcs)
     distance = sm.distance("t1+", "t2-")
     ok = (
@@ -733,7 +737,7 @@ def _smoothing(ctx):
 )
 def _symmetry(ctx):
     cx = ctx(fixtures.complex_fixture, "x1bar")
-    link = ctx(fixtures.graph_fixture, "x1bar-link")
+    link = ctx.graph("x1bar-link")
     node_map = fixtures.link_symmetry(link)
     twice = {k: X1BAR_SYMMETRY[X1BAR_SYMMETRY[k]] for k in X1BAR_SYMMETRY}
     thrice = {k: X1BAR_SYMMETRY[twice[k]] for k in X1BAR_SYMMETRY}
@@ -749,7 +753,7 @@ def _symmetry(ctx):
 
 @_check("brady:graph", "the reference link is the cubic eight-node graph with girth 2 pi")
 def _brady_graph(ctx):
-    g = ctx(fixtures.graph_fixture, "brady-link")
+    g = ctx.graph("brady-link")
     lengths = sorted(length for _, _, length in g.arcs)
     by_deletion, by_enumeration = g.girth(), g.girth_exhaustive()
     ok = (
@@ -766,7 +770,7 @@ def _brady_graph(ctx):
 
 @_check("embed:identity-control", "the search maps the reference link onto itself by the identity")
 def _embed_identity(ctx):
-    g = ctx(fixtures.graph_fixture, "brady-link")
+    g = ctx.graph("brady-link")
     out = find_embeddings(g, g, mode="first")
     ok = out.found and certificates_verified(g, g, out.certificates[:1])
     ok = ok and dict(out.certificates[0].node_images) == {n: n for n in g.nodes}
@@ -775,8 +779,8 @@ def _embed_identity(ctx):
 
 @_check("embed:wing-control", "the smoothed single-wing link embeds in the smoothed glued link")
 def _embed_wing(ctx):
-    src = ctx(fixtures.graph_fixture, "ybar1-link-smooth")
-    target = ctx(fixtures.graph_fixture, "x1bar-link-smooth")
+    src = ctx.graph("ybar1-link-smooth")
+    target = ctx.graph("x1bar-link-smooth")
     out = find_embeddings(src, target, mode="all")
     sample = out.certificates[:: max(1, len(out.certificates) // 12)]
     ok = out.found and certificates_verified(src, target, sample)
@@ -788,8 +792,8 @@ def _embed_wing(ctx):
     "no locally isometric embedding of the reference link into the smoothed glued link exists",
 )
 def _embed_main(ctx):
-    source = ctx(fixtures.graph_fixture, "brady-link")
-    target = ctx(fixtures.graph_fixture, "x1bar-link-smooth")
+    source = ctx.graph("brady-link")
+    target = ctx.graph("x1bar-link-smooth")
     out = ctx(_main_search, ctx)
     verified = certificates_verified(source, target, out.certificates)
     total = certificates_total(source, out.certificates, [fixtures.link_symmetry(target)])

@@ -45,6 +45,16 @@ class Side(namedtuple("Side", "label forward")):
     def token(self) -> str:
         return self.label + ("+" if self.forward else "-")
 
+    def head(self, ends: dict[str, tuple[str, str]]) -> str:
+        """The vertex the side arrives at; ``ends`` maps each edge label
+        to its (source, target)."""
+        src, dst = ends[self.label]
+        return dst if self.forward else src
+
+    def tail(self, ends: dict[str, tuple[str, str]]) -> str:
+        src, dst = ends[self.label]
+        return src if self.forward else dst
+
     @staticmethod
     def from_token(token: str) -> Side:
         if len(token) < 2 or token[-1] not in "+-":
@@ -76,16 +86,15 @@ class TriComplex(namedtuple("TriComplex", "vertices edges triangles")):
 
     def __new__(cls, vertices, edges, triangles) -> TriComplex:
         self = super().__new__(cls, vertices, edges, triangles)
-        if len(set(self.vertices)) != len(self.vertices):
+        known = set(self.vertices)
+        if len(known) != len(self.vertices):
             raise ValueError("duplicate vertex names")
-        labels = [label for label, _, _ in self.edges]
-        if len(set(labels)) != len(labels):
+        ends = self._ends()
+        if len(ends) != len(self.edges):
             raise ValueError("duplicate edge labels")
-        ends = {}
-        for label, src, dst in self.edges:
-            if src not in self.vertices or dst not in self.vertices:
+        for label, (src, dst) in ends.items():
+            if src not in known or dst not in known:
                 raise ValueError(f"edge {label} has an unknown endpoint")
-            ends[label] = (src, dst)
         for t in self.triangles:
             if len(t.sides) != 3 or len(t.angles) != 3:
                 raise ValueError("triangles have exactly three sides and angles")
@@ -94,7 +103,7 @@ class TriComplex(namedtuple("TriComplex", "vertices edges triangles")):
                     raise ValueError(f"side uses unknown edge {side.label!r}")
             for i, side in enumerate(t.sides):
                 nxt = t.sides[(i + 1) % 3]
-                if self._head(side) != self._tail(nxt):
+                if side.head(ends) != nxt.tail(ends):
                     raise ValueError(
                         f"boundary of {[s.token() for s in t.sides]} does not close"
                     )
@@ -109,19 +118,9 @@ class TriComplex(namedtuple("TriComplex", "vertices edges triangles")):
     # through __new__, so that _replace validates too
     _make = classmethod(lambda cls, values: cls(*values))
 
-    def _ends(self, label: str) -> tuple[str, str]:
-        for lab, src, dst in self.edges:
-            if lab == label:
-                return src, dst
-        raise KeyError(label)
-
-    def _head(self, side: Side) -> str:
-        src, dst = self._ends(side.label)
-        return dst if side.forward else src
-
-    def _tail(self, side: Side) -> str:
-        src, dst = self._ends(side.label)
-        return src if side.forward else dst
+    def _ends(self) -> dict[str, tuple[str, str]]:
+        """edge label -> (source, target)"""
+        return {label: (src, dst) for label, src, dst in self.edges}
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.triangles)
@@ -175,10 +174,11 @@ def vertex_link(cx: TriComplex, vertex: str) -> MetricGraph:
         if dst == vertex:
             nodes.append(label + "-")
     arcs = []
+    ends = cx._ends()
     for t in cx.triangles:
         for i in range(3):
             arriving, leaving = t.sides[i], t.sides[(i + 1) % 3]
-            if cx._head(arriving) != vertex:
+            if arriving.head(ends) != vertex:
                 continue
             start = arriving.label + ("-" if arriving.forward else "+")
             end = leaving.label + ("+" if leaving.forward else "-")

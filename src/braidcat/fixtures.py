@@ -10,6 +10,8 @@ resolution is frozen in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .complexes import TriComplex, X1BAR_SYMMETRY, vertex_link, x1bar, ybar1
 from .cosets import Presentation
 from .metric_graph import MetricGraph, brady_link
@@ -94,12 +96,14 @@ _COMPLEXES = {
     "x1bar": x1bar,
 }
 
+# Each graph is built from the fixtures it comes from, which it asks for
+# through get(fn, *args); a smoothed link is its link, smoothed.
 _GRAPHS = {
-    "brady-link": brady_link,
-    "ybar1-link": lambda: vertex_link(ybar1(), "o"),
-    "ybar1-link-smooth": lambda: vertex_link(ybar1(), "o").smooth(),
-    "x1bar-link": lambda: vertex_link(x1bar(), "o"),
-    "x1bar-link-smooth": lambda: vertex_link(x1bar(), "o").smooth(),
+    "brady-link": lambda get: brady_link(),
+    "ybar1-link": lambda get: vertex_link(get(complex_fixture, "ybar1"), "o"),
+    "ybar1-link-smooth": lambda get: get(graph_fixture, "ybar1-link", get).smooth(),
+    "x1bar-link": lambda get: vertex_link(get(complex_fixture, "x1bar"), "o"),
+    "x1bar-link-smooth": lambda get: get(graph_fixture, "x1bar-link", get).smooth(),
 }
 
 COMPLEX_NAMES = tuple(sorted(_COMPLEXES))
@@ -112,10 +116,16 @@ def complex_fixture(name: str) -> TriComplex:
     return _COMPLEXES[name]()
 
 
-def graph_fixture(name: str) -> MetricGraph:
+def _call(fn: Callable, *args):
+    return fn(*args)
+
+
+def graph_fixture(name: str, get: Callable = _call) -> MetricGraph:
+    """The named graph.  ``get(fn, *args)`` returns ``fn(*args)``; a memo
+    passed as ``get`` builds each fixture the graph comes from once."""
     if name not in _GRAPHS:
         raise KeyError(f"unknown graph {name!r}; have {', '.join(GRAPH_NAMES)}")
-    return _GRAPHS[name]()
+    return _GRAPHS[name](get)
 
 
 def link_symmetry(graph: MetricGraph) -> dict[str, str]:

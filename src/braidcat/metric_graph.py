@@ -44,10 +44,11 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
     __slots__ = ()
 
     def __new__(cls, nodes: tuple[str, ...], arcs: tuple[Arc, ...]) -> MetricGraph:
-        if len(set(nodes)) != len(nodes):
+        known = set(nodes)
+        if len(known) != len(nodes):
             raise ValueError("duplicate node names")
         for u, v, length in arcs:
-            if u not in nodes or v not in nodes:
+            if u not in known or v not in known:
                 raise ValueError(f"arc ({u}, {v}) mentions an unknown node")
             if length <= 0:
                 raise ValueError(f"arc ({u}, {v}) has non-positive length {length}")

@@ -14,7 +14,9 @@ So over the alphabet ``a b c`` the string ``"x y x^2 Y X Y x^-2 y"`` is
 rejected, while over ``x y`` it parses to a 10-letter word.  Words
 multiply by concatenation followed by free reduction, and a finite map
 from generator names to words extends to a homomorphism via
-:func:`substitute`.
+:func:`substitute`.  A word shares one ``(name, sign)`` tuple per distinct
+letter, and every operation here keeps the tuples it is given, so a word
+holds about 8 bytes per letter.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
+from itertools import chain
 
 __all__ = [
     "Alphabet",
@@ -66,11 +69,11 @@ Letter = tuple[str, int]
 
 def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     stack: list[Letter] = []
-    for name, sign in letters:
-        if stack and stack[-1][0] == name and stack[-1][1] == -sign:
+    for letter in letters:
+        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
             stack.pop()
         else:
-            stack.append((name, sign))
+            stack.append(letter)
     return tuple(stack)
 
 
@@ -95,7 +98,8 @@ class Word(namedtuple("Word", "letters", defaults=((),))):
         return Word.from_letters(self.letters * n)
 
     def inverse(self) -> Word:
-        return Word(tuple((name, -sign) for name, sign in reversed(self.letters)))
+        flip = {letter: (letter[0], -letter[1]) for letter in set(self.letters)}
+        return Word(tuple(map(flip.__getitem__, reversed(self.letters))))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -128,7 +132,8 @@ class Word(namedtuple("Word", "letters", defaults=((),))):
 # above any word the package uses; checked before an exponent is expanded.
 MAX_LETTERS = 1_000_000
 
-_TOKEN = re.compile(r"\s+|(?P<letter>[A-Za-z])(?:\^\{?(?P<exp>-?\d+)\}?)?|(?P<bad>.)")
+# Whitespace, then a letter with an optional exponent or else one bad character
+_TOKEN = re.compile(r"\s*([A-Za-z](?:\^\{?-?\d+\}?)?|\S)")
 
 
 def parse(text: str, alphabet: Alphabet | None = None) -> Word:
@@ -137,43 +142,51 @@ def parse(text: str, alphabet: Alphabet | None = None) -> Word:
     With no explicit alphabet every lowercase character is taken to name
     a generator; with one, letters must match a declared name up to a
     case flip (the flipped case being the inverse).  A text spelling out
-    more than :data:`MAX_LETTERS` letters is rejected.
+    more than :data:`MAX_LETTERS` letters is rejected, as is the first bad
+    token.  One scan finds the tokens, and each distinct character's letter
+    and its inverse are made once, so the word holds about 8 B per letter.
     """
     if text.strip() == "1":
         return Word()
     letters: list[Letter] = []
-    for match in _TOKEN.finditer(text):
-        if match.group("bad"):
-            raise ValueError(f"bad character {match.group('bad')!r} in {text!r}")
-        ch = match.group("letter")
-        if ch is None:
-            continue
-        if alphabet is None:
-            name, sign = (ch, 1) if ch.islower() else (ch.lower(), -1)
-        elif ch in alphabet:
-            name, sign = ch, 1
-        elif ch.swapcase() in alphabet:
-            name, sign = ch.swapcase(), -1
-        else:
-            raise ValueError(f"letter {ch!r} is not in the alphabet {alphabet.names}")
-        exp = int(match.group("exp") or 1)
-        if exp < 0:
-            sign, exp = -sign, -exp
-        if len(letters) + exp > MAX_LETTERS:
+    pairs: dict[str, tuple[Letter, Letter]] = {}  # character -> (letter, inverse)
+    runs: dict[str, list[Letter]] = {}  # token -> the letters it spells
+    for token in _TOKEN.findall(text):
+        if token not in runs:
+            ch = token[0]
+            if ch not in pairs:
+                if not (ch.isascii() and ch.isalpha()):
+                    raise ValueError(f"bad character {ch!r} in {text!r}")
+                if alphabet is None:
+                    name, sign = (ch, 1) if ch.islower() else (ch.lower(), -1)
+                elif ch in alphabet:
+                    name, sign = ch, 1
+                elif ch.swapcase() in alphabet:
+                    name, sign = ch.swapcase(), -1
+                else:
+                    raise ValueError(f"letter {ch!r} is not in the alphabet {alphabet.names}")
+                letter, inverse = (name, sign), (name, -sign)
+                pairs[ch], pairs[ch.swapcase()] = (letter, inverse), (inverse, letter)
+            exp = int(token[1:].strip("^{}") or 1)
+            if abs(exp) > MAX_LETTERS:
+                raise ValueError(f"word has more than {MAX_LETTERS} letters")
+            runs[token] = [pairs[ch][exp < 0]] * abs(exp)
+        if len(letters) + len(runs[token]) > MAX_LETTERS:
             raise ValueError(f"word has more than {MAX_LETTERS} letters")
-        letters.extend([(name, sign)] * exp)
+        letters += runs[token]
     return Word(_reduce(letters))
 
 
 def substitute(word: Word, images: Mapping[str, Word]) -> Word:
-    """Apply the homomorphism sending each generator to its image word."""
-    out = Word()
-    for name, sign in word.letters:
+    """Apply the homomorphism sending each generator to its image word;
+    the images' letters are collected and reduced once."""
+    pieces: dict[Letter, tuple[Letter, ...]] = {}
+    for name, sign in dict.fromkeys(word.letters):
         if name not in images:
             raise KeyError(f"no image given for generator {name!r}")
-        image = images[name]
-        out = out * (image if sign > 0 else image.inverse())
-    return out
+        image = images[name] if sign > 0 else images[name].inverse()
+        pieces[name, sign] = image.letters
+    return Word(_reduce(chain.from_iterable(map(pieces.__getitem__, word.letters))))
 
 
 ALPHABET_ABC = Alphabet(("a", "b", "c"))

@@ -139,15 +139,24 @@ def test_each_normal_form_is_computed_once(monkeypatch):
 def test_each_graph_and_complex_is_built_once(monkeypatch):
     import braidcat.fixtures
 
-    requested = Counter()
+    requested, built = Counter(), Counter()
     for name in ("graph_fixture", "complex_fixture"):
         real = getattr(braidcat.fixtures, name)
 
-        def counted(fixture, real=real):
+        def counted(fixture, *args, real=real):
             requested[fixture] += 1
-            return real(fixture)
+            return real(fixture, *args)
 
         monkeypatch.setattr(braidcat.fixtures, name, counted)
+    for name in ("x1bar", "ybar1", "vertex_link"):
+
+        def build(*args, name=name, real=getattr(braidcat.fixtures, name)):
+            built[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(braidcat.fixtures, name, build)
+        if name in braidcat.fixtures._COMPLEXES:
+            monkeypatch.setitem(braidcat.fixtures._COMPLEXES, name, build)
     run_audit()
     assert requested == Counter(
         {
@@ -158,6 +167,8 @@ def test_each_graph_and_complex_is_built_once(monkeypatch):
             )
         }
     )
+    # each smoothed link is smoothed from the link the audit already holds
+    assert built == Counter({"x1bar": 1, "ybar1": 1, "vertex_link": 2})
 
 
 def test_audit_work_is_pinned(monkeypatch):

@@ -51,6 +51,28 @@ def test_validation_rejects_bad_complexes():
         )
 
 
+def loop_triangle(*sides, angles=(THIRD, THIRD, THIRD)):
+    return Triangle(tuple(Side(label, True) for label in sides), angles)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, triangles, message",
+    [
+        (("o", "o"), (), (), "duplicate vertex names"),
+        (("o",), (("a", "o", "o"), ("a", "o", "o")), (), "duplicate edge labels"),
+        (("o",), (("a", "o", "o"), ("b", "o", "p")), (), "edge b has an unknown endpoint"),
+        (("o",), (("a", "o", "o"),), (loop_triangle("a", "a"),), "triangles have exactly three"),
+        (("o",), (("a", "o", "o"),), (loop_triangle("a", "a", "b"),), "side uses unknown edge 'b'"),
+        (("o", "p"), (("a", "o", "p"),), (loop_triangle("a", "a", "a"),), "does not close"),
+        (("o",), (("a", "o", "o"),), (loop_triangle("a", "a", "a", angles=(1, 0, 0)),), "positive"),
+        (("o",), (("a", "o", "o"),), (loop_triangle("a", "a", "a", angles=(1, 1, 1)),), "sum to pi"),
+    ],
+)
+def test_each_malformed_complex_is_refused_by_name(vertices, edges, triangles, message):
+    with pytest.raises(ValueError, match=message):
+        TriComplex(vertices, edges, triangles)
+
+
 def test_ybar1_shape():
     cx = ybar1()
     assert len(cx.vertices) == 1

@@ -21,11 +21,11 @@ def path_graph():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate node names$"):
         MetricGraph(("p", "p"), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^arc \(p, q\) mentions an unknown node$"):
         MetricGraph(("p",), (("p", "q", F(1)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^arc \(p, p\) has non-positive length 0$"):
         MetricGraph(("p",), (("p", "p", F(0)),))
 
 

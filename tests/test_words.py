@@ -1,5 +1,6 @@
 import os
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,12 @@ from braidcat.words import (
     parse,
     substitute,
 )
+
+try:
+    from hypothesis import example, given
+    from hypothesis import strategies as st
+except ImportError:  # the differential test skips itself
+    given = None
 
 SEED = int(os.environ.get("GGT_SEED", "17"))
 
@@ -56,7 +63,9 @@ def test_parse_rejects_out_of_alphabet():
         parse("a+b")
 
 
-@pytest.mark.parametrize("text", ["a^99999999999", "b a^-100000000000", "X^{100000000000} y"])
+@pytest.mark.parametrize(
+    "text", ["a^99999999999", "b a^-100000000000", "X^{100000000000} y", "a^600000 b^400000 c"]
+)
 def test_parse_refuses_a_word_too_long_to_expand(text):
     # The exponents are far beyond memory: expanding one is not an option.
     with pytest.raises(ValueError, match=f"more than {MAX_LETTERS} letters"):
@@ -118,3 +127,109 @@ def test_alphabet_validation():
         Alphabet(("ab",))
     assert "a" in ALPHABET_ABC
     assert ALPHABET_ABC.index("c") == 2
+
+
+
+def distinct_letter_objects(*words):
+    return len({id(letter) for word in words for letter in word.letters})
+
+
+def test_words_share_one_tuple_per_letter():
+    w = parse("a b c A B C a^5 b^-3 C^{4} " * 40)
+    assert len(w) > 500 and distinct_letter_objects(w) <= 6
+    # an inverse makes at most one tuple per distinct letter; products,
+    # powers and substitutions make none
+    inv = w.inverse()
+    assert distinct_letter_objects(w, inv) <= 12
+    assert distinct_letter_objects(w, inv, w * w, w * inv, inv * w, w**3) <= 12
+    assert distinct_letter_objects(w, w**-2) <= 12
+    images = {"a": parse("xy", ALPHABET_XY), "b": parse("Yx^3", ALPHABET_XY), "c": parse("1")}
+    image = substitute(w, images)
+    assert len(image) > 500
+    assert distinct_letter_objects(image, *images.values()) <= 4 + 4
+
+
+_REFERENCE_TOKEN = re.compile(r"\s+|(?P<letter>[A-Za-z])(?:\^\{?(?P<exp>-?\d+)\}?)?|(?P<bad>.)")
+
+
+def reference_parse(text, alphabet=None):
+    """An independent parser for the differential test: one regex match
+    and one new tuple per letter, then a free reduction of its own."""
+    if text.strip() == "1":
+        return Word()
+    letters = []
+    for match in _REFERENCE_TOKEN.finditer(text):
+        if match.group("bad"):
+            raise ValueError(f"bad character {match.group('bad')!r} in {text!r}")
+        ch = match.group("letter")
+        if ch is None:
+            continue
+        if alphabet is None:
+            name, sign = (ch, 1) if ch.islower() else (ch.lower(), -1)
+        elif ch in alphabet:
+            name, sign = ch, 1
+        elif ch.swapcase() in alphabet:
+            name, sign = ch.swapcase(), -1
+        else:
+            raise ValueError(f"letter {ch!r} is not in the alphabet {alphabet.names}")
+        exp = int(match.group("exp") or 1)
+        if exp < 0:
+            sign, exp = -sign, -exp
+        if len(letters) + exp > MAX_LETTERS:
+            raise ValueError(f"word has more than {MAX_LETTERS} letters")
+        letters.extend([(name, sign)] * exp)
+    stack = []
+    for name, sign in letters:
+        if stack and stack[-1] == (name, -sign):
+            stack.pop()
+        else:
+            stack.append((name, sign))
+    return Word(tuple(stack))
+
+
+def outcome(parser, text, alphabet):
+    """The parsed word, or the type and message of what the parser raised."""
+    try:
+        return parser(text, alphabet)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+if given is None:
+
+    def test_parse_matches_the_reference_parser():
+        pytest.skip("needs hypothesis")
+
+else:
+    # exponents: none, small in every spelling (a lone brace included),
+    # or past MAX_LETTERS, which must be refused before it is expanded
+    EXPONENTS = st.one_of(
+        st.just(""),
+        st.builds(
+            str.format,
+            st.sampled_from(["^{}", "^-{}", "^{{{}}}", "^{{-{}}}", "^{{{}", "^{}}}"]),
+            st.integers(0, 12),
+        ),
+        st.integers(MAX_LETTERS + 1, 10**12).map("^-{}".format),
+        st.integers(MAX_LETTERS + 1, 10**12).map("^{}".format),
+    )
+    TOKENS = st.one_of(
+        st.builds(str.__add__, st.sampled_from("abcABCxyXYSTstdqZ"), EXPONENTS),
+        st.sampled_from([" ", "  ", "\t", "\n", "^", "^2", "1", "+", "-", "{", "\u00e9", "\u0663"]),
+    )
+    TEXTS = st.one_of(
+        st.lists(TOKENS, max_size=14).map("".join), st.sampled_from(["1", " 1\n", "11", ""])
+    )
+    ALPHABETS = st.sampled_from([None, ALPHABET_ABC, ALPHABET_XY, ALPHABET_ST])
+
+    @given(TEXTS, ALPHABETS)
+    @example("x^-2", ALPHABET_ABC)  # the letter is named as written
+    @example("a + a^99999999999", None)  # the first bad token wins
+    @example("a^99999999999 +", None)
+    @example("b^{3 A^2} \u0663 c", None)
+    @example("s T^-2 S^{0}", ALPHABET_ST)
+    def test_parse_matches_the_reference_parser(text, alphabet):
+        got = outcome(parse, text, alphabet)
+        assert got == outcome(reference_parse, text, alphabet)
+        if isinstance(got, Word):
+            assert distinct_letter_objects(got) <= 2 * len(got.names())
