@@ -96,8 +96,7 @@ _COMPLEXES = {
     "x1bar": x1bar,
 }
 
-# Each graph is built from the fixtures it comes from, which it asks for
-# through get(fn, *args); a smoothed link is its link, smoothed.
+# A graph asks for the fixtures it is built from through get(fn, *args).
 _GRAPHS = {
     "brady-link": lambda get: brady_link(),
     "ybar1-link": lambda get: vertex_link(get(complex_fixture, "ybar1"), "o"),
@@ -116,11 +115,7 @@ def complex_fixture(name: str) -> TriComplex:
     return _COMPLEXES[name]()
 
 
-def _call(fn: Callable, *args):
-    return fn(*args)
-
-
-def graph_fixture(name: str, get: Callable = _call) -> MetricGraph:
+def graph_fixture(name: str, get: Callable = lambda fn, *args: fn(*args)) -> MetricGraph:
     """The named graph.  ``get(fn, *args)`` returns ``fn(*args)``; a memo
     passed as ``get`` builds each fixture the graph comes from once."""
     if name not in _GRAPHS:
