@@ -9,11 +9,20 @@ Computational Group Theory, section 5.2: cosets live in a table with
 one column per generator and per inverse, coincidences are processed
 through a union-find array, and rows are compacted away only at the
 end.  Running both and comparing counts is cheap insurance against
-bookkeeping slips, and :func:`verify_table` re-checks any completed
-table from scratch.  The verifier shares no code with the enumeration
-table: it inverts each generator's column once and traces every
-relator over all n cosets together, so it costs O(n * total relator
-length), linear in the size of the table.
+bookkeeping slips.
+
+A Felsch deduction (alpha, x) scans only the relator rotations that
+start with x at alpha.  Holt also scans those that start with x^-1 at
+alpha x, but the rotations include every relator's inverse and a scan
+walks both ways, so each of those walks the same relator cycle through
+the same table edge again.  Neither strategy scans at a coset once a
+coincidence has killed it: its row is stale, and a deduction read from
+it would tie live cosets to dead ones.
+
+:func:`verify_table` re-checks any completed table from scratch.  It
+shares no code with the enumeration table: it inverts each generator's
+column once and traces every relator over all n cosets together, so
+it costs O(n * total relator length), linear in the size of the table.
 
 Cosets are numbered from 1 in results, with coset 1 the subgroup
 itself.  Enumeration is deterministic: no randomisation, fixed
@@ -102,9 +111,6 @@ class _Table:
             self.p[k], k = root, self.p[k]
         return root
 
-    def is_live(self, k: int) -> bool:
-        return self.p[k] == k
-
     def define(self, alpha: int, col: int) -> int:
         if self.defined >= self.cap:
             raise _Overflow
@@ -152,26 +158,27 @@ class _Table:
         gives up.  A completed scan with mismatched ends triggers
         coincidence processing.
         """
+        tab = self.tab
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
-            while i <= j and self.tab[f][word[i]] is not None:
-                f = self.tab[f][word[i]]
+            while i <= j and (g := tab[f][word[i]]) is not None:
+                f = g
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and self.tab[b][word[j] ^ 1] is not None:
-                b = self.tab[b][word[j] ^ 1]
+            while j >= i and (g := tab[b][word[j] ^ 1]) is not None:
+                b = g
                 j -= 1
             if j < i:
                 if f != b:
                     self.coincidence(f, b)
                 return
             if j == i:
-                self.tab[f][word[i]] = b
-                self.tab[b][word[i] ^ 1] = f
+                tab[f][word[i]] = b
+                tab[b][word[i] ^ 1] = f
                 self.deductions.append((f, word[i]))
                 return
             if not fill:
@@ -224,7 +231,7 @@ def enumerate_cosets(
     except _Overflow:
         return OverflowResult(cap=cap, defined=table.defined, strategy=strategy)
 
-    live = [k for k in range(len(table.tab)) if table.is_live(k)]
+    live = [k for k, parent in enumerate(table.p) if parent == k]
     renumber = {k: i + 1 for i, k in enumerate(live)}
     action = {}
     for g, name in enumerate(alphabet.names):
@@ -241,47 +248,45 @@ def enumerate_cosets(
 
 
 def _run_hlt(table: _Table, relators: list[list[int]], subgens: list[list[int]]) -> None:
+    tab, p, scan = table.tab, table.p, table.scan
     for w in subgens:
-        table.scan(0, w, fill=True)
+        scan(0, w, True)
     alpha = 0
-    while alpha < len(table.tab):
-        if table.is_live(alpha):
+    while alpha < len(tab):
+        if p[alpha] == alpha:
             for rel in relators:
-                table.scan(alpha, rel, fill=True)
-                if not table.is_live(alpha):
+                scan(alpha, rel, True)
+                if p[alpha] != alpha:
                     break
-            if table.is_live(alpha):
-                for col in range(table.ncols):
-                    if table.tab[alpha][col] is None:
+            else:  # alpha outlived every scan
+                for col, entry in enumerate(tab[alpha]):
+                    if entry is None:
                         table.define(alpha, col)
         alpha += 1
 
 
 def _run_felsch(table: _Table, relators: list[list[int]], subgens: list[list[int]]) -> None:
     grouped = _rotations_by_first(relators, table.ncols)
+    tab, p, rep, scan, deductions = table.tab, table.p, table.rep, table.scan, table.deductions
 
     def process_deductions() -> None:
-        while table.deductions:
-            alpha, col = table.deductions.pop()
-            alpha = table.rep(alpha)
+        while deductions:
+            alpha, col = deductions.pop()
+            alpha = rep(alpha)
             for rel in grouped[col]:
-                table.scan(alpha, rel, fill=False)
-            beta = table.tab[alpha][col]
-            if beta is not None:
-                beta = table.rep(beta)
-                for rel in grouped[col ^ 1]:
-                    table.scan(beta, rel, fill=False)
+                scan(alpha, rel, False)
+                if p[alpha] != alpha:
+                    break
 
     for w in subgens:
-        table.scan(0, w, fill=True)
+        scan(0, w, True)
     process_deductions()
     alpha = 0
-    while alpha < len(table.tab):
-        if table.is_live(alpha):
-            for col in range(table.ncols):
-                if table.is_live(alpha) and table.tab[alpha][col] is None:
-                    table.define(alpha, col)
-                    process_deductions()
+    while alpha < len(tab):
+        for col in range(table.ncols):
+            if p[alpha] == alpha and tab[alpha][col] is None:
+                table.define(alpha, col)
+                process_deductions()
         alpha += 1
 
 
@@ -291,15 +296,15 @@ def coset_action(enum: Enumeration, word: Word, start: int = 1) -> int:
 
 
 def _columns(action: dict[str, tuple[int, ...]]) -> dict[Letter, tuple[int, ...]]:
-    """Every generator's column and its inverse's, keyed by letter, so
-    that ``columns[name, sign][i - 1]`` is the coset i g^sign.  Each
-    column must be a bijection of 1..n."""
+    """Every generator's column and its inverse's, keyed by letter and
+    padded with a 0 in front, so that ``columns[name, sign][i]`` is the
+    coset i g^sign.  Each column must be a bijection of 1..n."""
     columns = {}
     for name, images in action.items():
-        inverse = [0] * len(images)
+        inverse = [0] * (len(images) + 1)
         for i, image in enumerate(images, 1):
-            inverse[image - 1] = i
-        columns[name, 1] = images
+            inverse[image] = i
+        columns[name, 1] = (0, *images)
         columns[name, -1] = tuple(inverse)
     return columns
 
@@ -309,7 +314,7 @@ def _trace(columns: dict[Letter, tuple[int, ...]], word: Word, cosets: list[int]
     current = cosets
     for letter in word.letters:
         images = columns[letter]
-        current = [images[k - 1] for k in current]
+        current = [images[k] for k in current]
     return current
 
 
@@ -347,7 +352,7 @@ def verify_table(
     while frontier:
         k = frontier.pop()
         for images in columns.values():
-            image = images[k - 1]
+            image = images[k]
             if image not in seen:
                 seen.add(image)
                 frontier.append(image)

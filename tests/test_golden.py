@@ -40,6 +40,8 @@ INPUTS = {
     "group.txt": "x y\nx^4\ny^3\nx y x^2 Y X Y x^-2 y\n",
     "cyclic.txt": "# Z/3\nx\nx^3\n",
     "empty.txt": "# no generators\n",
+    # cosets that collapse while Felsch is still scanning them
+    "collapse.txt": "a b\nA\nA^3\nb^4\nb a\n",
     "cycle.txt": "node a\nnode b\narc a b 1000000000/1\narc a b 1/1\n",
     "path.txt": "node a\nnode b\nnode c\narc a b 1/1\n",
     "bad-graph.txt": "node a\narc a b 1/1\n",
