@@ -214,6 +214,8 @@ def _cmd_garside_audit_presentation(args) -> Result:
 
 def _cmd_verify_index(args) -> Result:
     if args.fixture:
+        if args.group or args.subgroup:
+            raise CliError("--fixture names the group and subgroup; drop --group and --subgroup")
         if args.fixture not in fixtures.SUBGROUPS:
             raise CliError(
                 f"unknown subgroup fixture {args.fixture!r}; "
@@ -395,6 +397,8 @@ def _cmd_graph_dist(args) -> Result:
 
 
 def _cmd_embed(args) -> Result:
+    if args.trace == "-":
+        raise CliError("--trace takes a file; stdout carries the result")
     source = _load("graph", args.source)
     target = _load("graph", args.target)
     automorphisms = [fixtures.link_symmetry(target)] if args.symmetry else None
@@ -422,9 +426,7 @@ def _cmd_embed(args) -> Result:
             emb.to_json_dict(source, target) for emb in outcome.certificates
         ]
     if args.trace is not None:
-        Path(args.trace).write_text(
-            json.dumps(outcome.trace.to_json_dict(), indent=1) + "\n"
-        )
+        Path(args.trace).write_text(json.dumps(outcome.trace, indent=1) + "\n")
         payload["trace_file"] = args.trace
     if outcome.found:
         text = (
@@ -638,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include every certificate in the JSON payload",
     )
-    p.add_argument("--trace", metavar="PATH", help="write the full search tree as JSON")
+    p.add_argument("--trace", metavar="PATH", help="write the full search tree as JSON to a file")
     _handled_by(p, _cmd_embed)
 
     p = sub.add_parser("audit", help="run the whole claim catalogue")

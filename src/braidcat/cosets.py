@@ -291,7 +291,9 @@ def _run_felsch(table: _Table, relators: list[list[int]], subgens: list[list[int
 
 
 def coset_action(enum: Enumeration, word: Word, start: int = 1) -> int:
-    """Apply a word to a coset number through the enumerated action."""
+    """Apply a word to a coset number, one of 1..count, through the enumerated action."""
+    if not 1 <= start <= enum.count:
+        raise ValueError(f"no coset {start}; the cosets are 1..{enum.count}")
     return _trace(_columns(enum.action), word, [start])[0]
 
 

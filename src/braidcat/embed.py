@@ -73,7 +73,6 @@ from .metric_graph import MetricGraph, format_length
 
 __all__ = [
     "Embedding",
-    "SearchNode",
     "SearchOutcome",
     "find_embeddings",
     "verify_embedding",
@@ -196,37 +195,13 @@ def verify_embedding(
     return checks
 
 
-class SearchNode:
-    """One decision in the search tree, filled in as the search goes."""
-
-    __slots__ = ("decision", "children", "prune", "complete")
-
-    def __init__(self, decision: dict):
-        self.decision = decision
-        self.children: list[SearchNode] = []
-        self.prune: dict | None = None
-        self.complete = False
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"SearchNode({fields})"
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"decision": self.decision}
-        if self.prune is not None:
-            out["prune"] = self.prune
-        if self.complete:
-            out["complete"] = True
-        if self.children:
-            out["children"] = [c.to_json_dict() for c in self.children]
-        return out
-
-
 class SearchOutcome(
     namedtuple("SearchOutcome", "certificates prunes nodes_explored distance_prunes trace")
 ):
     """Certificates, prunes by reason, nodes explored, the distance prunes as (source,
-    target distance) text -> (count, first prune), and the trace's root SearchNode or None."""
+    target distance) text -> (count, first prune), and the trace or None.  The trace is
+    the decision tree as JSON dicts: each node has a ``decision`` and at most one of
+    ``prune``, ``complete`` (a certificate) and ``children``, in that key order."""
 
     __slots__ = ()
 
@@ -356,7 +331,7 @@ class _Search:
     def run(self) -> SearchOutcome:
         root = None
         if self.with_trace:
-            root = SearchNode({"kind": "root", "root_candidates": list(self.root_candidates)})
+            root = {"decision": {"kind": "root", "root_candidates": list(self.root_candidates)}}
         self._assign(0, root)
         distance_prunes = {}
         for count, *first in self.distance_stats.values():
@@ -373,16 +348,16 @@ class _Search:
     # Without a trace every parent is None and no record is built.
 
     @staticmethod
-    def _child(parent: SearchNode, decision: dict) -> SearchNode:
-        node = SearchNode(decision)
-        parent.children.append(node)
+    def _child(parent: dict, decision: dict) -> dict:
+        node = {"decision": decision}
+        parent.setdefault("children", []).append(node)
         return node
 
     def _arc_detail(self, arc_index: int) -> dict:
         u, v, _ = self.src.arcs[arc_index]
         return {"source_arc": [u, v], "length": self._format(self.src_length[arc_index])}
 
-    def _assign(self, k: int, parent: SearchNode | None) -> None:
+    def _assign(self, k: int, parent: dict | None) -> None:
         if k == len(self.node_order):
             certificate = Embedding(
                 node_images=tuple(sorted(self.images.items())),
@@ -390,7 +365,7 @@ class _Search:
             )
             self.certificates.append(certificate)
             if parent is not None:
-                parent.complete = True
+                parent["complete"] = True
             if self.mode == "first":
                 self.stop = True
             return
@@ -405,7 +380,7 @@ class _Search:
             if reason is not None:
                 self.prunes[reason] += 1
                 if node is not None:
-                    node.prune = self._assignment_detail(reason, u, t, w, self.images.get(w))
+                    node["prune"] = self._assignment_detail(reason, u, t, w, self.images.get(w))
                 continue
             self.images[u] = t
             self.occupied.add(t)
@@ -446,9 +421,7 @@ class _Search:
             detail.update(source_degree=self.src_degree[u], target_degree=self.tgt_degree[t])
         return detail
 
-    def _route_ready(
-        self, ready: list[int], i: int, k: int, parent: SearchNode | None
-    ) -> None:
+    def _route_ready(self, ready: list[int], i: int, k: int, parent: dict | None) -> None:
         if i == len(ready):
             self._assign(k + 1, parent)
             return
@@ -485,8 +458,9 @@ class _Search:
             reason = "injectivity-clash" if paths else "length-mismatch"
             self.prunes[reason] += 1
             if parent is not None:
-                node = self._child(parent, {"kind": "route", **self._arc_detail(arc_index)})
-                node.prune = {"reason": reason, **self._arc_detail(arc_index)}
+                detail = self._arc_detail(arc_index)
+                node = self._child(parent, {"kind": "route", **detail})
+                node["prune"] = {"reason": reason, **detail}
 
     def _embedded_paths(self, start: str, goal: str, length: int) -> list[_Path]:
         """Every embedded path (or loop, when start is goal) of the given

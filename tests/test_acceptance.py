@@ -244,9 +244,10 @@ def test_criterion_7b_distance_obstruction_in_trace():
     hits = []
 
     def walk(node):
-        if node.prune and node.prune["reason"] == "distance":
-            hits.append(node.prune)
-        for child in node.children:
+        prune = node.get("prune")
+        if prune and prune["reason"] == "distance":
+            hits.append(prune)
+        for child in node.get("children", []):
             walk(child)
 
     walk(outcome.trace)

@@ -472,21 +472,47 @@ def test_embed_main_search_through_cli(capsys, tmp_path):
     assert tree["children"]
 
 
-def test_embed_trace_file_is_pinned(capsys, tmp_path):
-    """The main search's trace, byte for byte: the search's arithmetic
-    and its trace construction may change, the tree it writes may not."""
+# (embed arguments, trace size, sha256, nodes, prunes by reason, complete nodes)
+TRACE_PINS = {
+    "main-symmetry": (
+        ("--source", "brady-link", "--target", "x1bar-link-smooth", "--symmetry"),
+        1_289_820,
+        "0536c83db27aad6eb5f83fa7aff3b2add5d5dc9bfed164820e4c20d1c8f23ae4",
+        2366,
+        {"distance": 870, "target-node-used": 928},
+        32,
+    ),
+    "wing": (
+        ("--source", "ybar1-link-smooth", "--target", "x1bar-link"),
+        354_484,
+        "4bbc4f9d3226d6a641cb90c2c92e8dba68dca287838b558dd8a33f985ae041a5",
+        1200,
+        {"degree": 78, "target-node-used": 12, "length-mismatch": 90, "injectivity-clash": 12},
+        432,
+    ),
+    "brady-first": (
+        ("--source", "brady-link", "--target", "x1bar-link", "--mode", "first"),
+        39_954,
+        "9ef290e2e1c0a9e2a1aca11b0a25c18a3217fd05f9608342fe75b8e46af32ccc",
+        87,
+        {"degree": 30, "target-node-used": 19, "distance": 18},
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TRACE_PINS)
+def test_embed_trace_file_is_pinned(capsys, tmp_path, case):
+    """Traces byte for byte, every prune reason among them: the search's
+    arithmetic and its trace construction may change, the tree it writes
+    may not."""
+    argv, size, sha256, want_nodes, want_prunes, want_complete = TRACE_PINS[case]
     trace = tmp_path / "trace.json"
-    code, _, _ = run(
-        capsys, "embed",
-        "--source", "brady-link", "--target", "x1bar-link-smooth",
-        "--symmetry", "--trace", str(trace),
-    )
+    code, _, _ = run(capsys, "embed", *argv, "--trace", str(trace))
     assert code == 0
     data = trace.read_bytes()
-    assert len(data) == 1_289_820
-    assert hashlib.sha256(data).hexdigest() == (
-        "0536c83db27aad6eb5f83fa7aff3b2add5d5dc9bfed164820e4c20d1c8f23ae4"
-    )
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == sha256
     nodes, prunes, complete = 0, Counter(), 0
     stack = list(json.loads(data)["children"])
     while stack:
@@ -495,9 +521,9 @@ def test_embed_trace_file_is_pinned(capsys, tmp_path):
         prunes.update([node["prune"]["reason"]] if "prune" in node else [])
         complete += node.get("complete", False)
         stack.extend(node.get("children", []))
-    assert nodes == 2366
-    assert prunes == {"distance": 870, "target-node-used": 928}
-    assert complete == 32
+    assert nodes == want_nodes
+    assert prunes == want_prunes
+    assert complete == want_complete
 
 
 def test_embed_without_symmetry_triples_the_count(capsys):
@@ -524,6 +550,18 @@ def test_embed_rejects_thin_source(capsys):
     )
     assert code == 2
     assert "degree" in err
+
+
+def test_embed_refuses_a_trace_on_stdout(capsys, tmp_path, monkeypatch):
+    """Stdout carries the result, so ``--trace -`` is refused before the
+    search, not written to a file named ``-``."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "embed", "--source", "brady-link", "--target", "x1bar-link", "--trace", "-"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: --trace")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_embed_symmetry_needs_a_compatible_target(capsys, tmp_path):

@@ -103,6 +103,11 @@ def test_coset_action_walks_words():
     for start in range(1, 5):
         assert coset_action(res, w, start) == start
     assert coset_action(res, parse("X", ALPHABET_XY), coset_action(res, parse("x", ALPHABET_XY), 2)) == 2
+    # a start outside 1..count is refused, even for the empty word
+    for start in (0, -1, res.count + 1):
+        for word in ("x", ""):
+            with pytest.raises(ValueError, match="no coset"):
+                coset_action(res, parse(word, ALPHABET_XY), start)
 
 
 def test_overflow_is_inconclusive():

@@ -52,11 +52,12 @@ def distance_prunes_in(trace):
     stats = {}
 
     def walk(node):
-        if node.prune and node.prune["reason"] == "distance":
-            key = (node.prune["source_distance"], node.prune["target_distance"])
-            count, first = stats.get(key, (0, node.prune))
+        prune = node.get("prune")
+        if prune and prune["reason"] == "distance":
+            key = (prune["source_distance"], prune["target_distance"])
+            count, first = stats.get(key, (0, prune))
             stats[key] = (count + 1, first)
-        for child in node.children:
+        for child in node.get("children", []):
             walk(child)
 
     walk(trace)
@@ -266,7 +267,7 @@ def test_trace_contains_distance_obstruction():
     hits = distance_prunes_in(out.trace)
     assert any(parse_length(s) == F(1, 3) and parse_length(d) >= F(2, 3) for s, d in hits)
     assert out.prunes["distance"] == sum(count for count, _ in hits.values())
-    assert out.trace.to_json_dict()["decision"]["kind"] == "root"
+    assert out.trace["decision"]["kind"] == "root"
 
 
 def test_first_mode_stops_early():
@@ -320,6 +321,15 @@ def test_trace_does_not_change_the_search(case):
     assert sum(counts) == untraced.prunes["distance"]
     walked = distance_prunes_in(traced.trace)
     assert list(untraced.distance_prunes.items()) == list(walked.items())
+    # each node's keys, in the order the JSON writes them: its decision first,
+    # then at most one of a prune, a certificate's mark and its children
+    stack = [traced.trace]
+    while stack:
+        node = stack.pop()
+        keys = list(node)
+        assert keys[0] == "decision" and len(keys) <= 2
+        assert set(keys[1:]) <= {"prune", "complete", "children"}
+        stack.extend(node.get("children", []))
 
 
 # The work of the audit's four searches, in _audit_searches order: any
