@@ -127,20 +127,6 @@ class AuditReport(namedtuple("AuditReport", "results meta")):
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AuditReport":
-        results = tuple(
-            CheckResult(
-                ident=d["ident"],
-                claim=d["claim"],
-                status=d["status"],
-                witness=d["witness"],
-                seconds=d.get("seconds", 0.0),
-            )
-            for d in data["results"]
-        )
-        return cls(results, dict(data["meta"]))
-
     def to_text(self) -> str:
         lines = []
         width = max(len(r.ident) for r in self.results) if self.results else 0

@@ -399,6 +399,9 @@ def _cmd_graph_dist(args) -> Result:
 def _cmd_embed(args) -> Result:
     if args.trace == "-":
         raise CliError("--trace takes a file; stdout carries the result")
+    if args.trace is not None and args.json not in (None, "-"):
+        if Path(args.trace).resolve() == Path(args.json).resolve():
+            raise CliError("--trace and --json name one file; give the trace its own")
     source = _load("graph", args.source)
     target = _load("graph", args.target)
     automorphisms = [fixtures.link_symmetry(target)] if args.symmetry else None

@@ -41,7 +41,6 @@ __all__ = [
     "OverflowResult",
     "enumerate_cosets",
     "verify_table",
-    "coset_action",
 ]
 
 
@@ -288,13 +287,6 @@ def _run_felsch(table: _Table, relators: list[list[int]], subgens: list[list[int
                 table.define(alpha, col)
                 process_deductions()
         alpha += 1
-
-
-def coset_action(enum: Enumeration, word: Word, start: int = 1) -> int:
-    """Apply a word to a coset number, one of 1..count, through the enumerated action."""
-    if not 1 <= start <= enum.count:
-        raise ValueError(f"no coset {start}; the cosets are 1..{enum.count}")
-    return _trace(_columns(enum.action), word, [start])[0]
 
 
 def _columns(action: dict[str, tuple[int, ...]]) -> dict[Letter, tuple[int, ...]]:

@@ -27,7 +27,6 @@ import.  The sweep stays quadratic on purpose.
 from __future__ import annotations
 
 import itertools
-import re
 from collections import namedtuple
 
 from .words import Word
@@ -37,13 +36,8 @@ __all__ = [
     "DELTA",
     "NormalForm",
     "normal_form",
-    "parse_normal_form",
-    "delta_word",
-    "flip_word",
     "difference",
     "equals",
-    "equals_mod_center",
-    "central_power",
     "is_central",
     "conjugation_orbit",
     "presentation_equalities",
@@ -73,10 +67,6 @@ def invert(p: Perm) -> Perm:
     return tuple(out)  # type: ignore[return-value]
 
 
-def inversions(p: Perm) -> int:
-    return sum(1 for i, j in itertools.combinations(range(4), 2) if p[i] > p[j])
-
-
 def starting_set(p: Perm) -> frozenset[int]:
     """Indices i such that the simple element p admits a word starting a_i."""
     return frozenset(i for i in range(3) if p[i] > p[i + 1])
@@ -84,16 +74,6 @@ def starting_set(p: Perm) -> frozenset[int]:
 
 def finishing_set(p: Perm) -> frozenset[int]:
     return starting_set(invert(p))
-
-
-def simple_word(p: Perm) -> Word:
-    """The lexicographically least reduced positive word for a simple element."""
-    letters = []
-    while p != IDENTITY:
-        i = min(starting_set(p))
-        letters.append((GENERATOR_NAMES[i], 1))
-        p = compose(GENERATOR_PERMS[i], p)
-    return Word(tuple(letters))
 
 
 # Simple elements by index (0 is the identity, 23 is D); _THEN[p][q] is "p then q".
@@ -117,16 +97,6 @@ def _slide(p: int, q: int) -> tuple[int, int]:
 
 
 _LEFT_WEIGHT = [[_slide(p, q) for q in range(24)] for p in range(24)]
-
-
-def _flip(p: Perm) -> Perm:
-    # Conjugation by the half twist reverses the strand order.
-    return SIMPLES[_FLIP[_INDEX[p]]]
-
-
-def _left_weight(p: Perm, q: Perm) -> tuple[Perm, Perm]:
-    """The left-weighted pair with the product p q."""
-    return tuple(SIMPLES[k] for k in _LEFT_WEIGHT[_INDEX[p]][_INDEX[q]])
 
 
 class NormalForm(namedtuple("NormalForm", "power factors", defaults=(0, ()))):
@@ -155,27 +125,11 @@ class NormalForm(namedtuple("NormalForm", "power factors", defaults=(0, ()))):
     def is_identity(self) -> bool:
         return self.power == 0 and not self.factors
 
-    def to_word(self) -> Word:
-        out = delta_word() ** self.power
-        for p in self.factors:
-            out = out * simple_word(p)
-        return out
-
     def __str__(self) -> str:
         parts = [f"D^{self.power}"]
         for p in self.factors:
             parts.append("[" + " ".join(str(v + 1) for v in p) + "]")
         return " | ".join(parts)
-
-
-def delta_word() -> Word:
-    return simple_word(DELTA)
-
-
-def flip_word(word: Word) -> Word:
-    """The image of a word under conjugation by the half twist: a <-> c."""
-    swap = {"a": "c", "b": "b", "c": "a"}
-    return Word(tuple((swap[name], sign) for name, sign in word.letters))
 
 
 def normal_form(word: Word) -> NormalForm:
@@ -229,32 +183,6 @@ def _normalise(factors: list[int]) -> list[int]:
     return factors
 
 
-_NF_FACTOR = re.compile(r"\[\s*(\d)\s+(\d)\s+(\d)\s+(\d)\s*\]")
-
-
-def parse_normal_form(text: str) -> NormalForm:
-    """Parse the ``D^k | [i1 i2 i3 i4] | ...`` serialisation (1-based)."""
-    parts = [part.strip() for part in text.split("|")]
-    head = parts[0]
-    if not head.startswith("D^"):
-        raise ValueError(f"normal form must start with D^k, got {head!r}")
-    power = int(head[2:])
-    factors = []
-    for prev, part in zip(parts, parts[1:]):
-        match = _NF_FACTOR.fullmatch(part)
-        if match is None:
-            raise ValueError(f"bad factor {part!r}")
-        perm = tuple(int(g) - 1 for g in match.groups())
-        if sorted(perm) != [0, 1, 2, 3]:
-            raise ValueError(f"not a permutation: {part!r}")
-        if perm in (IDENTITY, DELTA):
-            raise ValueError(f"factor {part!r} is 1 or D")
-        if factors and _left_weight(factors[-1], perm) != (factors[-1], perm):
-            raise ValueError(f"pair {prev!r} | {part!r} is not left weighted")
-        factors.append(perm)
-    return NormalForm(power, tuple(factors))
-
-
 def difference(w1: Word, w2: Word) -> NormalForm:
     """The normal form of w1 w2^-1, the identity exactly when w1 = w2."""
     return normal_form(w1 * w2.inverse())
@@ -263,19 +191,6 @@ def difference(w1: Word, w2: Word) -> NormalForm:
 def equals(w1: Word, w2: Word) -> bool:
     """Exact equality in the braid group."""
     return difference(w1, w2).is_identity
-
-
-def equals_mod_center(w1: Word, w2: Word) -> bool:
-    """Equality modulo the centre, which is generated by D^2."""
-    return central_power(w1 * w2.inverse()) is not None
-
-
-def central_power(word: Word) -> int | None:
-    """k if the word equals the k-th power of the full twist D^2, else None."""
-    nf = normal_form(word)
-    if not nf.factors and nf.power % 2 == 0:
-        return nf.power // 2
-    return None
 
 
 def is_central(word: Word) -> bool:

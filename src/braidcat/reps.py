@@ -30,7 +30,6 @@ __all__ = [
     "modular_assignment",
     "Permutation",
     "perm_mul",
-    "perm_inv",
     "evaluate_permutation",
     "strand_assignment",
     "cycle_type",
@@ -89,19 +88,12 @@ def perm_mul(p: Permutation, q: Permutation) -> Permutation:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def perm_inv(p: Permutation) -> Permutation:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def evaluate_permutation(word: Word, images: Mapping[str, Permutation]) -> Permutation:
     degree = len(next(iter(images.values()))) if images else 0
     out = tuple(range(degree))
     for name, sign in word.letters:
         p = images[name]
-        out = perm_mul(out, p if sign > 0 else perm_inv(p))
+        out = perm_mul(out, p if sign > 0 else tuple(sorted(range(len(p)), key=p.__getitem__)))
     return out
 
 

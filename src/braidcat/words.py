@@ -104,10 +104,6 @@ class Word(namedtuple("Word", "letters", defaults=((),))):
     def __len__(self) -> int:
         return len(self.letters)
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def names(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.letters)
 

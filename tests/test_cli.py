@@ -564,6 +564,20 @@ def test_embed_refuses_a_trace_on_stdout(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("result", ["out.json", "./out.json", "{tmp}/out.json"])
+def test_embed_refuses_one_file_for_trace_and_result(capsys, tmp_path, monkeypatch, result):
+    """The result would overwrite the trace, so two spellings of one path
+    are refused before the search, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "embed", "--source", "brady-link", "--target", "brady-link", "--mode", "first",
+        "--trace", "out.json", "--json", result.replace("{tmp}", str(tmp_path)),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --trace and --json name one file; give the trace its own\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_embed_symmetry_needs_a_compatible_target(capsys, tmp_path):
     code, _, err = run(
         capsys, "embed",

@@ -9,7 +9,6 @@ from braidcat.cosets import (
     Enumeration,
     OverflowResult,
     Presentation,
-    coset_action,
     enumerate_cosets,
     verify_table,
 )
@@ -93,21 +92,6 @@ def test_determinism():
     first = enumerate_cosets(g0(), sub)
     second = enumerate_cosets(g0(), sub)
     assert first == second
-
-
-def test_coset_action_walks_words():
-    sub = [parse("x y x^-2", ALPHABET_XY), parse("y", ALPHABET_XY)]
-    res = enumerate_cosets(g0(), sub)
-    assert coset_action(res, parse("y", ALPHABET_XY), 1) == 1
-    w = parse("x^4", ALPHABET_XY)
-    for start in range(1, 5):
-        assert coset_action(res, w, start) == start
-    assert coset_action(res, parse("X", ALPHABET_XY), coset_action(res, parse("x", ALPHABET_XY), 2)) == 2
-    # a start outside 1..count is refused, even for the empty word
-    for start in (0, -1, res.count + 1):
-        for word in ("x", ""):
-            with pytest.raises(ValueError, match="no coset"):
-                coset_action(res, parse(word, ALPHABET_XY), start)
 
 
 def test_overflow_is_inconclusive():

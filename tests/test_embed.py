@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from braidcat import fixtures
 from braidcat.complexes import X1BAR_SYMMETRY, vertex_link, x1bar, ybar1
 from braidcat.embed import (
     Embedding,
@@ -256,6 +257,46 @@ def test_known_certificate_is_found():
         "v5": "e-", "v6": "t2-", "v7": "B^-", "v8": "a+",
     }
     assert any(dict(emb.node_images) == expected for emb in out.certificates)
+
+
+# -- automorphisms from the search ----------------------------------------
+
+
+def self_maps(graph):
+    """The node maps of every embedding of a graph into itself."""
+    return [dict(c.node_images) for c in find_embeddings(graph, graph, mode="all").certificates]
+
+
+def test_brady_link_self_maps_are_the_dihedral_symmetries():
+    g = brady_link()
+    # walk the 8-cycle of pi/3 arcs; its symmetries turn it by k and may reflect it
+    ring = {n: [] for n in g.nodes}
+    for u, v, length in g.arcs:
+        if length == F(1, 3):
+            ring[u].append(v)
+            ring[v].append(u)
+    cycle = [g.nodes[0], ring[g.nodes[0]][0]]
+    while len(cycle) < 8:
+        cycle.append(next(n for n in ring[cycle[-1]] if n != cycle[-2]))
+    dihedral = {
+        frozenset((cycle[i], cycle[(sign * i + k) % 8]) for i in range(8))
+        for k in range(8)
+        for sign in (1, -1)
+    }
+    assert len(dihedral) == 16
+    maps = self_maps(g)
+    assert len(maps) == 16
+    assert {frozenset(m.items()) for m in maps} == dihedral
+
+
+@pytest.mark.parametrize("name", ["ybar1-link-smooth", "x1bar-link-smooth"])
+def test_smoothed_link_self_maps_are_automorphisms(name):
+    g = fixtures.graph_fixture(name)
+    maps = self_maps(g)
+    assert len(maps) == 12
+    assert all(g.is_automorphism(m) for m in maps)
+    if name == "x1bar-link-smooth":
+        assert fixtures.link_symmetry(g) in maps
 
 
 def test_trace_contains_distance_obstruction():

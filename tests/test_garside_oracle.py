@@ -21,6 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from braidcat.garside import normal_form  # noqa: E402
 from braidcat.words import Word, parse  # noqa: E402
+from garside_words import to_word  # noqa: E402
 
 N = 4
 ONE = {0: 1}
@@ -103,10 +104,10 @@ words = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))), ma
 
 @given(words)
 def test_normal_form_word_has_the_same_burau_matrix(w):
-    assert burau(normal_form(w).to_word()) == burau(w)
+    assert burau(to_word(normal_form(w))) == burau(w)
 
 
 @given(words)
 def test_normal_form_word_round_trip(w):
     nf = normal_form(w)
-    assert normal_form(nf.to_word()) == nf
+    assert normal_form(to_word(nf)) == nf

@@ -15,7 +15,6 @@ from braidcat.reps import (
     mat_mul,
     mat_neg,
     modular_assignment,
-    perm_inv,
     perm_mul,
     stabilizer_of,
     strand_assignment,
@@ -70,7 +69,8 @@ def test_permutation_convention():
     p, q = (1, 0, 2, 3), (0, 2, 1, 3)
     assert perm_mul(p, q) == (1, 2, 0, 3)
     assert perm_mul(q, p) == (2, 0, 1, 3)
-    assert perm_inv((2, 0, 3, 1)) == (1, 3, 0, 2)
+    # an inverse letter acts by the inverse permutation
+    assert evaluate_permutation(parse("A"), {"a": (2, 0, 3, 1)}) == (1, 3, 0, 2)
 
 
 def test_strand_images():
