@@ -402,6 +402,9 @@ def _cmd_embed(args) -> Result:
     if args.trace is not None and args.json not in (None, "-"):
         if Path(args.trace).resolve() == Path(args.json).resolve():
             raise CliError("--trace and --json name one file; give the trace its own")
+    for flag, path in (("--trace", args.trace), ("--json", args.json)):
+        if path not in (None, "-") and not Path(path).parent.is_dir():
+            raise CliError(f"{flag} {path}: no directory {Path(path).parent}")
     source = _load("graph", args.source)
     target = _load("graph", args.target)
     automorphisms = [fixtures.link_symmetry(target)] if args.symmetry else None

@@ -136,42 +136,46 @@ def normal_form(word: Word) -> NormalForm:
     """Compute the left-greedy normal form of a word in a, b, c.
 
     Letters are folded in one at a time.  A positive letter becomes a
-    new final factor; an inverse letter a_i^-1 rewrites the whole
-    element as (D^-1) (flipped factors) (D a_i^-1), using that D a_i^-1
-    is simple.  A renormalisation sweep then restores left weighting,
-    working from the tail so that each pass pushes material towards the
-    front, absorbs full twists into the power, and drops trivial
-    factors.
+    new final factor; an inverse letter a_i^-1 rewrites the element as
+    (D^-1) (flipped factors) (D a_i^-1), using that D a_i^-1 is simple.
+    The flip (conjugation by D) is an involution that commutes with left
+    weighting and fixes 1 and D, so the factors are kept in the frame
+    flipped ``odd`` times, the parity of the inverse letters so far: each
+    new factor is appended flipped when ``odd`` is set, and the list is
+    flipped once at the end.  After each letter the sweep restores left
+    weighting and full twists at the front are absorbed into the power.
     """
-    power = 0
+    power, odd = 0, False
     factors: list[int] = []
     for name, sign in word.letters:
         i = GENERATOR_NAMES.index(name)
         if sign > 0:
-            factors.append(_GEN[i])
+            new = _GEN[i]
         else:
-            power -= 1
-            factors = [_FLIP[p] for p in factors]
-            factors.append(_D_GEN_INVERSE[i])
-        factors = _normalise(factors)
+            power, odd, new = power - 1, not odd, _D_GEN_INVERSE[i]
+        factors.append(_FLIP[new] if odd else new)
+        _normalise(factors)
         while factors and factors[0] == _D:
             power += 1
-            factors = factors[1:]
+            del factors[0]
+    if odd:
+        factors = [_FLIP[p] for p in factors]
     return NormalForm(power, tuple(SIMPLES[p] for p in factors))
 
 
-def _normalise(factors: list[int]) -> list[int]:
-    """Repeated local moves until every adjacent pair is left weighted.
+def _normalise(factors: list[int]) -> None:
+    """Repeated local moves, in place, until every adjacent pair is left
+    weighted.
 
-    Factors are indices into ``SIMPLES``.  Any D produced by the moves
-    migrates to the front because a factor equal to D absorbs every
-    generator, so left weighting slides all of its successor into it.
-    Each move is a lookup in the ``_LEFT_WEIGHT`` table, but the sweep
-    stays quadratic on purpose: a linear one fits so many more jobs into
-    a benchmark run that the harness's per-job records, not braidcat,
-    break the peak-memory bound (see ROADMAP).
+    Factors are indices into ``SIMPLES``, none of them 1: no appended
+    factor is 1, a move always lengthens p, and a q that becomes 1 is
+    dropped.  Any D produced migrates to the front, because a factor
+    equal to D absorbs all of its successor.  Each move is a lookup in
+    ``_LEFT_WEIGHT``, but the sweep stays quadratic on purpose: a linear
+    one fits so many more jobs into a benchmark run that the harness's
+    per-job records, not braidcat, break the peak-memory bound (see
+    ROADMAP).
     """
-    factors = [p for p in factors if p != _ID]
     changed = True
     while changed:
         changed = False
@@ -180,7 +184,6 @@ def _normalise(factors: list[int]) -> list[int]:
             if p != factors[i]:  # a move always lengthens p
                 changed = True
                 factors[i : i + 2] = (p, q) if q != _ID else (p,)
-    return factors
 
 
 def difference(w1: Word, w2: Word) -> NormalForm:

@@ -194,6 +194,8 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
             nodes.remove(target)
 
     def is_bipartite(self) -> bool:
+        """Whether the nodes 2-colour across every arc; a loop never does."""
+        incidence = self.incidence()
         color: dict[str, int] = {}
         for start in self.nodes:
             if start in color:
@@ -202,10 +204,8 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
             frontier = [start]
             while frontier:
                 node = frontier.pop()
-                for u, v, _ in self.arcs:
-                    if node not in (u, v):
-                        continue
-                    other = v if node == u else u
+                for i, end in incidence[node]:
+                    other = self.arcs[i][1 - end]
                     if other == node:
                         return False
                     if other not in color:

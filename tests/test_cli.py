@@ -578,6 +578,26 @@ def test_embed_refuses_one_file_for_trace_and_result(capsys, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "trace, result, refused",
+    [("t.json", "missing/r.json", "--json missing/r.json"),
+     ("missing/t.json", "r.json", "--trace missing/t.json")],
+)
+def test_embed_refuses_an_output_in_a_missing_directory(
+    capsys, tmp_path, monkeypatch, trace, result, refused
+):
+    """Either output could not be written, so the search does not run and
+    the other output is not left behind."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "embed", "--source", "brady-link", "--target", "brady-link", "--mode", "first",
+        "--trace", trace, "--json", result,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {refused}: no directory missing\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_embed_symmetry_needs_a_compatible_target(capsys, tmp_path):
     code, _, err = run(
         capsys, "embed",

@@ -24,6 +24,12 @@ from braidcat.garside import (
 from braidcat.words import Word, parse
 from garside_words import delta_word, flip_word, inversions, simple_word, to_word
 
+try:
+    from hypothesis import example, given
+    from hypothesis import strategies as st
+except ImportError:  # the differential test skips itself
+    given = None
+
 SEED = int(os.environ.get("GGT_SEED", "17"))
 
 A, B, C = parse("a"), parse("b"), parse("c")
@@ -118,8 +124,11 @@ def test_left_weight_table_commutes_with_flip():
 
 
 # A reference sweep: the kernel's moves in the same order, but on one-line
-# permutations, with descents as sets and memoised left weighting.  It
-# shares no code with the kernel, so it judges every table the kernel uses.
+# permutations, with descents as sets and memoised left weighting, and
+# with every factor flipped at each inverse letter.  The kernel keeps its
+# factors flipped once per inverse letter read, so after an odd number of
+# them its moves are the flipped images of these.  The reference shares
+# no code with the kernel, so it judges every table the kernel uses.
 def _ref_then(p, q):
     return tuple(q[p[i]] for i in range(4))
 
@@ -183,6 +192,34 @@ def test_normal_form_matches_the_reference_sweep():
             )
     for w in cases:
         assert normal_form(w) == reference_normal_form(w), w
+
+
+if given is None:
+
+    def test_normal_form_matches_the_reference_by_inverse_share():
+        pytest.skip("needs hypothesis")
+
+else:
+
+    @st.composite
+    def words_by_inverse_share(draw):
+        """A word whose length and share of inverse letters are drawn first."""
+        length = draw(st.integers(0, 120))
+        share = draw(st.integers(0, 100))
+        names = draw(st.lists(st.sampled_from("abc"), min_size=length, max_size=length))
+        rolls = draw(st.lists(st.integers(0, 99), min_size=length, max_size=length))
+        return Word.from_letters(
+            (name, -1 if roll < share else 1) for name, roll in zip(names, rolls)
+        )
+
+    @given(words_by_inverse_share())
+    @example(parse("bac bac bac bac"))  # no inverse letter, D^2 absorbed at the front
+    @example(parse("A B A B A B"))  # an even number of inverse letters
+    @example(parse("A B A B A"))  # an odd number
+    @example(parse("C bac bac bac bac"))  # odd, with D absorbed at the front
+    @example(parse("bac bac bac bac a B"))  # odd, after D^2 was absorbed
+    def test_normal_form_matches_the_reference_by_inverse_share(w):
+        assert normal_form(w) == reference_normal_form(w)
 
 
 def test_flip_is_delta_conjugation():

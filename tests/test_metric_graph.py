@@ -1,5 +1,6 @@
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,18 @@ def test_bipartite():
     assert not triangle.is_bipartite()
     loop = MetricGraph(("p",), (("p", "p", F(1)),))
     assert not loop.is_bipartite()
+
+
+@pytest.mark.parametrize("size, bipartite", [(5000, True), (5001, False)])
+def test_bipartite_long_cycle(size, bipartite):
+    """The search reads one incidence table.  A scan of every arc for each
+    node is quadratic: on one Intel Xeon core it took about 1.5 s of CPU
+    on these cycles, against a few ms for the table."""
+    nodes = tuple(f"v{i}" for i in range(size))
+    cycle = MetricGraph(nodes, tuple((nodes[i - 1], nodes[i], F(1)) for i in range(size)))
+    start = time.process_time()
+    assert cycle.is_bipartite() == bipartite
+    assert time.process_time() - start < 0.5
 
 
 def test_automorphism():
