@@ -324,9 +324,7 @@ def _cmd_complex_build(args) -> Result:
         "triangles": len(cx.triangles),
         "euler_characteristic": cx.euler_characteristic(),
     }
-    text = "\n".join(cx.to_lines()) + (
-        f"\n# chi = {payload['euler_characteristic']}"
-    )
+    text = "\n".join(cx.to_lines()) + f"\n# chi = {payload['euler_characteristic']}"
     return payload, text, 0
 
 
@@ -334,8 +332,7 @@ def _cmd_complex_link(args) -> Result:
     link = vertex_link(_load("complex", args.name), args.vertex)
     if args.smooth:
         link = link.smooth()
-    payload = _graph_json(link)
-    return payload, "\n".join(link.to_lines()), 0
+    return _graph_json(link), "\n".join(link.to_lines()), 0
 
 
 def _cmd_complex_cat0(args) -> Result:
@@ -403,6 +400,8 @@ def _cmd_embed(args) -> Result:
         if Path(args.trace).resolve() == Path(args.json).resolve():
             raise CliError("--trace and --json name one file; give the trace its own")
     for flag, path in (("--trace", args.trace), ("--json", args.json)):
+        if path not in (None, "-") and Path(path).is_dir():
+            raise CliError(f"{flag} {path}: is a directory, not a file")
         if path not in (None, "-") and not Path(path).parent.is_dir():
             raise CliError(f"{flag} {path}: no directory {Path(path).parent}")
     source = _load("graph", args.source)
@@ -531,7 +530,9 @@ def _handled_by(parser: argparse.ArgumentParser, func, flag: str = "--json", **o
     parser.set_defaults(func=func)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser; given ``command``, only that command's subcommands
+    are added, since the other commands need just their help line."""
     parser = argparse.ArgumentParser(
         prog="braidcat",
         description="exact verification of the braid-group and link computations",
@@ -539,96 +540,93 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     garside = sub.add_parser("garside", help="normal forms and word identities")
-    gsub = garside.add_subparsers(dest="subcommand", required=True)
+    if command in (None, "garside"):
+        gsub = garside.add_subparsers(dest="subcommand", required=True)
 
-    p = gsub.add_parser("nf", help="left-greedy normal form of a word")
-    p.add_argument("word", help="word over a, b, c (uppercase inverts)")
-    _handled_by(p, _cmd_garside_nf)
+        p = gsub.add_parser("nf", help="left-greedy normal form of a word")
+        p.add_argument("word", help="word over a, b, c (uppercase inverts)")
+        _handled_by(p, _cmd_garside_nf)
 
-    p = gsub.add_parser("eq", help="decide equality of two words (exit 1 if different)")
-    p.add_argument("left")
-    p.add_argument("right")
-    _handled_by(p, _cmd_garside_eq)
+        p = gsub.add_parser("eq", help="decide equality of two words (exit 1 if different)")
+        p.add_argument("left")
+        p.add_argument("right")
+        _handled_by(p, _cmd_garside_eq)
 
-    p = gsub.add_parser("orbit", help="conjugation orbit of a seed word")
-    p.add_argument("conjugator", help="word, or a dictionary name like x or y")
-    p.add_argument("seed", help="word, or a dictionary name like a or bhat")
-    p.add_argument(
-        "--convention",
-        choices=("left", "right"),
-        default="left",
-        help="left: w -> g w g^-1 (default); right: w -> g^-1 w g",
-    )
-    p.add_argument("--max-steps", type=_positive_int, default=16)
-    _handled_by(p, _cmd_garside_orbit)
+        p = gsub.add_parser("orbit", help="conjugation orbit of a seed word")
+        p.add_argument("conjugator", help="word, or a dictionary name like x or y")
+        p.add_argument("seed", help="word, or a dictionary name like a or bhat")
+        p.add_argument(
+            "--convention",
+            choices=("left", "right"),
+            default="left",
+            help="left: w -> g w g^-1 (default); right: w -> g^-1 w g",
+        )
+        p.add_argument("--max-steps", type=_positive_int, default=16)
+        _handled_by(p, _cmd_garside_orbit)
 
-    p = gsub.add_parser(
-        "audit-presentation",
-        help="check the ten defining equalities of the six-generator presentation",
-    )
-    _handled_by(p, _cmd_garside_audit_presentation)
+        p = gsub.add_parser(
+            "audit-presentation",
+            help="check the ten defining equalities of the six-generator presentation",
+        )
+        _handled_by(p, _cmd_garside_audit_presentation)
 
     verify = sub.add_parser("verify", help="index, matrix, and permutation checks")
-    vsub = verify.add_subparsers(dest="subcommand", required=True)
+    if command in (None, "verify"):
+        vsub = verify.add_subparsers(dest="subcommand", required=True)
 
-    p = vsub.add_parser("index", help="coset enumeration for a subgroup")
-    p.add_argument(
-        "--fixture",
-        help=f"named pair: {', '.join(sorted(fixtures.SUBGROUPS))}",
-    )
-    p.add_argument("--group", help="g0, sl2, or a presentation file")
-    p.add_argument("--subgroup", help="comma-separated generator words")
-    p.add_argument(
-        "--strategy", choices=("hlt", "felsch", "both"), default="both"
-    )
-    p.add_argument("--cap", type=_positive_int, default=100_000, help="max cosets defined")
-    _handled_by(p, _cmd_verify_index)
+        p = vsub.add_parser("index", help="coset enumeration for a subgroup")
+        p.add_argument("--fixture", help=f"named pair: {', '.join(sorted(fixtures.SUBGROUPS))}")
+        p.add_argument("--group", help="g0, sl2, or a presentation file")
+        p.add_argument("--subgroup", help="comma-separated generator words")
+        p.add_argument("--strategy", choices=("hlt", "felsch", "both"), default="both")
+        p.add_argument("--cap", type=_positive_int, default=100_000, help="max cosets defined")
+        _handled_by(p, _cmd_verify_index)
 
-    p = vsub.add_parser("pi", help="the matrix homomorphism kills the relators")
-    _handled_by(p, _cmd_verify_pi)
+        p = vsub.add_parser("pi", help="the matrix homomorphism kills the relators")
+        _handled_by(p, _cmd_verify_pi)
 
-    p = vsub.add_parser("perm", help="the strand-permutation images")
-    _handled_by(p, _cmd_verify_perm)
+        p = vsub.add_parser("perm", help="the strand-permutation images")
+        _handled_by(p, _cmd_verify_perm)
 
     cx = sub.add_parser("complex", help="triangle complexes and their links")
-    csub = cx.add_subparsers(dest="subcommand", required=True)
+    if command in (None, "complex"):
+        csub = cx.add_subparsers(dest="subcommand", required=True)
 
-    p = csub.add_parser("build", help="build a named complex and print it")
-    p.add_argument("name", help=f"fixture ({', '.join(fixtures.COMPLEX_NAMES)}) or file")
-    _handled_by(p, _cmd_complex_build)
+        p = csub.add_parser("build", help="build a named complex and print it")
+        p.add_argument("name", help=f"fixture ({', '.join(fixtures.COMPLEX_NAMES)}) or file")
+        _handled_by(p, _cmd_complex_build)
 
-    p = csub.add_parser("link", help="vertex link as a metric graph")
-    p.add_argument("name")
-    p.add_argument("--vertex", default="o")
-    p.add_argument(
-        "--smooth", action="store_true", help="suppress degree-two nodes first"
-    )
-    _handled_by(p, _cmd_complex_link)
+        p = csub.add_parser("link", help="vertex link as a metric graph")
+        p.add_argument("name")
+        p.add_argument("--vertex", default="o")
+        p.add_argument("--smooth", action="store_true", help="suppress degree-two nodes first")
+        _handled_by(p, _cmd_complex_link)
 
-    p = csub.add_parser(
-        "cat0", help="link condition: girth of the vertex link is at least 2 pi"
-    )
-    p.add_argument("name")
-    p.add_argument("--vertex", default="o")
-    _handled_by(p, _cmd_complex_cat0)
+        p = csub.add_parser(
+            "cat0", help="link condition: girth of the vertex link is at least 2 pi"
+        )
+        p.add_argument("name")
+        p.add_argument("--vertex", default="o")
+        _handled_by(p, _cmd_complex_cat0)
 
     graph = sub.add_parser("graph", help="metric-graph computations")
-    grsub = graph.add_subparsers(dest="subcommand", required=True)
+    if command in (None, "graph"):
+        grsub = graph.add_subparsers(dest="subcommand", required=True)
 
-    p = grsub.add_parser("girth", help="length of the shortest cycle")
-    p.add_argument("name", help=f"fixture ({', '.join(fixtures.GRAPH_NAMES)}) or file")
-    p.add_argument(
-        "--both",
-        action="store_true",
-        help="also run the exhaustive algorithm and compare",
-    )
-    _handled_by(p, _cmd_graph_girth)
+        p = grsub.add_parser("girth", help="length of the shortest cycle")
+        p.add_argument("name", help=f"fixture ({', '.join(fixtures.GRAPH_NAMES)}) or file")
+        p.add_argument(
+            "--both",
+            action="store_true",
+            help="also run the exhaustive algorithm and compare",
+        )
+        _handled_by(p, _cmd_graph_girth)
 
-    p = grsub.add_parser("dist", help="shortest path length between two nodes")
-    p.add_argument("name")
-    p.add_argument("source")
-    p.add_argument("dest")
-    _handled_by(p, _cmd_graph_dist)
+        p = grsub.add_parser("dist", help="shortest path length between two nodes")
+        p.add_argument("name")
+        p.add_argument("source")
+        p.add_argument("dest")
+        _handled_by(p, _cmd_graph_dist)
 
     p = sub.add_parser(
         "embed", help="search for locally isometric embeddings between graphs"
@@ -675,8 +673,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option with a value, so its first other word names the command
+    args = build_parser(next((w for w in argv if not w.startswith("-")), None)).parse_args(argv)
     try:
         payload, text, code = args.func(args)
         if args.json is not None and payload is not None:

@@ -12,9 +12,9 @@ computations are provided: one deletes each arc in turn and asks for a
 shortest path between its endpoints, the other enumerates embedded
 cycles outright.  They must agree, and the test suite insists on it.
 
-Distances come from one Dijkstra loop, ``distances_from``, which
-settles every node a source reaches in one search; ``distance`` reads
-one pair from it.
+One Dijkstra loop, ``_settle``, runs ``girth`` on integers in units of
+1/L (L the lcm of the denominators) and ``distances_from`` on ``Fraction``s,
+as faster search rows break the benchmark's memory bound (see ROADMAP).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, namedtuple
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "MetricGraph",
@@ -33,9 +34,35 @@ __all__ = [
 Arc = tuple[str, str, Fraction]
 
 
-def _shorter(best: Fraction | None, length: Fraction) -> Fraction:
+def _shorter(best: int | None, length: int) -> int:
     """The lesser of a cycle length and the best so far (None: no cycle yet)."""
     return length if best is None or length < best else best
+
+
+def _adjacency(nodes: tuple[str, ...], arcs) -> dict[str, list[tuple]]:
+    """node -> (other end, length) for each end of each arc."""
+    adjacency: dict[str, list[tuple]] = {n: [] for n in nodes}
+    for u, v, length in arcs:
+        adjacency[u].append((v, length))
+        adjacency[v].append((u, length))
+    return adjacency
+
+
+def _settle(adjacency: dict, source: str, zero):
+    """Dijkstra from ``source``, on lengths of the exact type of ``zero``:
+    yields (node, distance) as each node it reaches settles."""
+    dist, settled, heap = {source: zero}, set(), [(zero, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        yield node, d
+        for other, length in adjacency[node]:
+            nd = d + length
+            if other not in dist or nd < dist[other]:
+                dist[other] = nd
+                heapq.heappush(heap, (nd, other))
 
 
 class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
@@ -77,45 +104,30 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
 
     # -- metric ---------------------------------------------------------
 
-    def distances_from(self, source: str, skip_arc: int | None = None) -> dict[str, Fraction]:
+    def distances_from(self, source: str) -> dict[str, Fraction]:
         """Exact shortest-path distance from ``source`` to every node it
-        reaches, without arc ``skip_arc``; unreachable nodes are left out."""
-        adjacency: dict[str, list[tuple[str, Fraction]]] = {n: [] for n in self.nodes}
-        for i, (u, v, length) in enumerate(self.arcs):
-            if i != skip_arc:
-                adjacency[u].append((v, length))
-                adjacency[v].append((u, length))
-        dist = {source: Fraction(0)}
-        settled: set[str] = set()
-        heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in settled:
-                continue
-            settled.add(node)
-            for other, length in adjacency[node]:
-                nd = d + length
-                if other not in dist or nd < dist[other]:
-                    dist[other] = nd
-                    heapq.heappush(heap, (nd, other))
-        return dist
+        reaches; unreachable nodes are left out."""
+        return dict(_settle(_adjacency(self.nodes, self.arcs), source, Fraction(0)))
 
-    def distance(self, source: str, target: str, skip_arc: int | None = None) -> Fraction | None:
+    def distance(self, source: str, target: str) -> Fraction | None:
         """Exact shortest-path distance; None when disconnected."""
-        return self.distances_from(source, skip_arc).get(target)
+        return self.distances_from(source).get(target)
 
     def girth(self) -> Fraction | None:
-        """Shortest embedded cycle, via deletion of each arc in turn;
-        None when the graph has no cycle."""
-        best = None
-        for i, (u, v, length) in enumerate(self.arcs):
-            if u == v:
-                best = _shorter(best, length)
-            else:
-                through = self.distance(u, v, skip_arc=i)
-                if through is not None:
-                    best = _shorter(best, through + length)
-        return best
+        """Shortest embedded cycle, via deletion of each arc in turn; None
+        when the graph has no cycle.  Each search from one end of an arc
+        stops when the other end settles or can no longer beat the best."""
+        scale = lcm(*(length.denominator for _, _, length in self.arcs))
+        arcs = [(u, v, int(length * scale)) for u, v, length in self.arcs]
+        adjacency, best = _adjacency(self.nodes, arcs), None
+        for u, v, length in arcs:
+            adjacency[u].remove((v, length))  # at v the arc leads only to u, settled at 0
+            for node, d in _settle(adjacency, u, 0):
+                if node == v or best is not None and d + length >= best:
+                    best = _shorter(best, d + length)
+                    break
+            adjacency[u].append((v, length))
+        return None if best is None else Fraction(best, scale)
 
     def girth_exhaustive(self) -> Fraction | None:
         """Shortest embedded cycle, by direct enumeration; None when the
@@ -125,9 +137,11 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
         nodes; longer cycles are grown from their least node so each is
         produced once up to rotation and reflection.
         """
+        scale = lcm(*(length.denominator for _, _, length in self.arcs))
+        arcs = [(u, v, int(length * scale)) for u, v, length in self.arcs]
         best = None
-        by_pair: dict[tuple[str, str], list[Fraction]] = {}
-        for u, v, length in self.arcs:
+        by_pair: dict[tuple[str, str], list[int]] = {}
+        for u, v, length in arcs:
             if u == v:
                 best = _shorter(best, length)
             else:
@@ -138,13 +152,13 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
                 best = _shorter(best, pair[0] + pair[1])
 
         order = {n: i for i, n in enumerate(self.nodes)}
-        adjacency: dict[str, list[tuple[str, Fraction]]] = {n: [] for n in self.nodes}
-        for u, v, length in self.arcs:
+        adjacency: dict[str, list[tuple[str, int]]] = {n: [] for n in self.nodes}
+        for u, v, length in arcs:
             if u != v:
                 adjacency[u].append((v, length))
                 adjacency[v].append((u, length))
 
-        def grow(root: str, node: str, used: set[str], total: Fraction) -> None:
+        def grow(root: str, node: str, used: set[str], total: int) -> None:
             nonlocal best
             if best is not None and total >= best:
                 return
@@ -157,8 +171,8 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
                     used.remove(other)
 
         for root in self.nodes:
-            grow(root, root, {root}, Fraction(0))
-        return best
+            grow(root, root, {root}, 0)
+        return None if best is None else Fraction(best, scale)
 
     # -- operations -----------------------------------------------------
 

@@ -173,26 +173,39 @@ def test_each_graph_and_complex_is_built_once(monkeypatch):
 
 def test_audit_work_is_pinned(monkeypatch):
     import braidcat.audit
+    import braidcat.metric_graph
     from braidcat.metric_graph import MetricGraph
 
     searches, calls = [], Counter()
     real_search, real_distances_from = braidcat.audit.find_embeddings, MetricGraph.distances_from
+    real_settle = braidcat.metric_graph._settle
 
     def search(*args, **kwargs):
         searches.append(kwargs)
         return real_search(*args, **kwargs)
 
-    def distances_from(graph, source, skip_arc=None):
-        calls["girth deletion" if skip_arc is not None else "table row"] += 1
-        return real_distances_from(graph, source, skip_arc)
+    def distances_from(graph, source):
+        calls["table row"] += 1
+        return real_distances_from(graph, source)
+
+    def settle(adjacency, source, zero):
+        girth = type(zero) is int  # the rows run on Fractions
+        calls["girth search"] += girth
+        for settled in real_settle(adjacency, source, zero):
+            calls["girth settled"] += girth
+            yield settled
 
     monkeypatch.setattr(braidcat.audit, "find_embeddings", search)
     monkeypatch.setattr(MetricGraph, "distances_from", distances_from)
+    monkeypatch.setattr(braidcat.metric_graph, "_settle", settle)
     report = run_audit()
     # each search makes the rows of the nodes it places, source + target: identity 8 + 8,
     # wing 2 + 12, main 8 + 12; and link:smooth reads one distance
     assert calls["table row"] == (8 + 8) + (2 + 12) + (8 + 12) + 1
-    assert calls["girth deletion"] == 48
+    # girth searches once per arc of x1bar-link (27), ybar1-link (9) and brady-link (12);
+    # searches to the end would settle 27 * 18 + 9 * 8 + 12 * 8 = 654 nodes
+    assert calls["girth search"] == 27 + 9 + 12
+    assert calls["girth settled"] == 651
     assert len(searches) == 3
     assert not any(kwargs.get("with_trace") for kwargs in searches)
     witness = {r.ident: r for r in report.results}["embed:distance-obstruction"].witness

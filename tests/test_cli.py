@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import braidcat
+from braidcat import cli
 from braidcat.audit import run_audit
 from braidcat.cli import main
 from braidcat.complexes import TriComplex
@@ -598,6 +599,26 @@ def test_embed_refuses_an_output_in_a_missing_directory(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "trace, result, refused",
+    [("t.json", ".", "--json ."), (".", "r.json", "--trace ."), ("t.json", "out", "--json out")],
+)
+def test_embed_refuses_a_directory_as_an_output(
+    capsys, tmp_path, monkeypatch, trace, result, refused
+):
+    """A directory cannot take the output, so the search does not run and
+    the other output is not left behind."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    code, out, err = run(
+        capsys, "embed", "--source", "brady-link", "--target", "brady-link", "--mode", "first",
+        "--trace", trace, "--json", result,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {refused}: is a directory, not a file\n"
+    assert [path.name for path in tmp_path.rglob("*")] == ["out"]
+
+
 def test_embed_symmetry_needs_a_compatible_target(capsys, tmp_path):
     code, _, err = run(
         capsys, "embed",
@@ -818,6 +839,38 @@ def test_json_file_holds_what_json_stdout_prints(tmp_path, capsys, argv):
         # the per-check timings differ between any two runs
         printed, written = (without_seconds(json.loads(data)) for data in (printed, written))
     assert written == printed
+
+
+# -- the parser -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("--help",),
+        ("bogus",),
+        ("--bogus", "audit"),
+        ("-h", "garside"),
+        ("--", "garside"),
+        ("garside",),
+        ("garside", "nf", "--help"),
+        ("verify", "index", "--cap", "0"),
+        ("graph", "girth"),
+        ("embed", "--source", "x"),
+        ("export", "--format", "svg", "x"),
+    ],
+)
+def test_main_answers_usage_as_the_whole_parser(capsys, monkeypatch, argv):
+    """``main`` adds only the subcommands of the command it is given; its
+    help and usage errors read as the whole parser's do."""
+    monkeypatch.setenv("COLUMNS", "80")
+    answers = []
+    for parse in (main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        answers.append((exc.value.code, *capsys.readouterr()))
+    assert answers[0] == answers[1]
 
 
 # -- the installed entry point ----------------------------------------------

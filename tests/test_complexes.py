@@ -17,6 +17,12 @@ from braidcat.complexes import (
     ybar1,
 )
 
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # the random-complex test skips itself
+    given = None
+
 F = Fraction
 THIRD = F(1, 3)
 
@@ -167,6 +173,86 @@ def test_link_counting_identities(build, triangles, loops):
     assert len(link.nodes) == 2 * loops
     assert len(link.arcs) == 3 * triangles
     assert sum(link.degrees().values()) == 6 * triangles
+
+
+def link_from_text(lines, vertex):
+    """A second judge of ``vertex_link``: the link read off the complex's
+    text form by the germ rule of the complexes module docstring.  The
+    germ of edge g at its source is g+ and at its target g-.  A side
+    leaves along the germ its own token names (g+ leaves the source of g,
+    g- its target) and arrives along the germ of the opposite sign; the
+    corner after it sits where it arrives, and joins the germ it arrives
+    along to the germ the next side leaves along."""
+    germ_at, nodes, arcs = {}, [], []
+    for line in lines:
+        kind, *fields = line.split()
+        if kind == "edge":
+            label, source, target = fields
+            germ_at[label + "+"], germ_at[label + "-"] = source, target
+            nodes += [label + sign for sign in "+-" if germ_at[label + sign] == vertex]
+        elif kind == "triangle":
+            tokens, angles = fields[:3], fields[3:]
+            for i, token in enumerate(tokens):
+                arrives = token[:-1] + {"+": "-", "-": "+"}[token[-1]]
+                if germ_at[arrives] == vertex:
+                    arcs.append((arrives, tokens[(i + 1) % 3], Fraction(angles[i])))
+    return nodes, arcs
+
+
+def assert_links_agree(cx):
+    for vertex in cx.vertices:
+        link = vertex_link(cx, vertex)
+        nodes, arcs = link_from_text(cx.to_lines(), vertex)
+        assert Counter(link.nodes) == Counter(nodes)
+        assert Counter(link.arcs) == Counter(arcs)
+
+
+@pytest.mark.parametrize("name", ["ybar1", "x1bar", "triangle.txt", "fan.txt"])
+def test_link_matches_the_link_read_from_the_text_form(name):
+    from test_golden import INPUTS
+
+    fixtures = {"ybar1": ybar1, "x1bar": x1bar}
+    cx = fixtures[name]() if name in fixtures else TriComplex.from_lines(INPUTS[name].splitlines())
+    assert_links_agree(cx)
+
+
+if given is None:
+
+    def test_link_of_a_random_complex_matches_the_text_form():
+        pytest.skip("needs hypothesis")
+
+else:
+
+    @st.composite
+    def complexes(draw):
+        """A valid complex of up to four triangles on up to three vertices.
+        Each triangle's sides run corner to corner; a side reuses an edge
+        between its two corners or adds one in either direction."""
+        vertices = tuple(f"p{i}" for i in range(draw(st.integers(1, 3))))
+        edges, triangles = [], []
+        for _ in range(draw(st.integers(0, 4))):
+            corners = [draw(st.sampled_from(vertices)) for _ in range(3)]
+            sides = []
+            for i in range(3):
+                start, stop = corners[i], corners[(i + 1) % 3]
+                fits = [e for e in edges if {e[1], e[2]} == {start, stop}]
+                if fits and draw(st.booleans()):
+                    label, source, _ = draw(st.sampled_from(fits))
+                    forward = draw(st.booleans()) if start == stop else source == start
+                else:
+                    label, forward = f"e{len(edges)}", draw(st.booleans())
+                    edges.append((label, start, stop) if forward else (label, stop, start))
+                sides.append(Side(label, forward))
+            parts = [draw(st.integers(1, 5)) for _ in range(3)]
+            triangles.append(Triangle(tuple(sides), tuple(F(k, sum(parts)) for k in parts)))
+        for _ in range(draw(st.integers(0, 2))):  # edges on no triangle
+            ends = [draw(st.sampled_from(vertices)) for _ in range(2)]
+            edges.append((f"e{len(edges)}", *ends))
+        return TriComplex(vertices, tuple(edges), tuple(triangles))
+
+    @given(complexes())
+    def test_link_of_a_random_complex_matches_the_text_form(cx):
+        assert_links_agree(cx)
 
 
 def test_symmetry_is_order_three_automorphism():

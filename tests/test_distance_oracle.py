@@ -1,15 +1,18 @@
-"""Differential tests of the metric-graph distance kernel, of
-bipartiteness and of smoothing.
+"""Differential tests of the metric-graph distance kernel, of girth,
+of bipartiteness and of smoothing.
 
 Random small metric graphs, with loops, parallel arcs, disconnected
 parts, mixed denominators and lengths near 10^9, are checked against a
 Floyd-Warshall table computed here, which shares no code with the
-Dijkstra search in ``MetricGraph.distances_from``, and against a
+Dijkstra loop of ``distances_from`` and ``girth``, against the
+per-arc ``Fraction`` deletion that ``girth`` used to run, and against a
 2-colouring found by trying every colouring.
 """
 
+import heapq
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -18,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from braidcat.metric_graph import MetricGraph  # noqa: E402
+from braidcat.metric_graph import MetricGraph, _adjacency, _settle  # noqa: E402
 
 F = Fraction
 
@@ -74,17 +77,95 @@ def test_distances_from_matches_floyd_warshall(g):
 @given(metric_graphs())
 @example(LONG_CYCLE)
 def test_distance_without_an_arc_matches_floyd_warshall(g):
-    for i in range(len(g.arcs)):
+    """The loop as girth runs it: integer lengths in units of 1/L, one
+    adjacency, and the arc taken out of the list of the end the search
+    starts from.  Nodes settle in order of distance."""
+    scale = lcm(*(length.denominator for _, _, length in g.arcs))
+    arcs = [(u, v, int(length * scale)) for u, v, length in g.arcs]
+    adjacency = _adjacency(g.nodes, arcs)
+    for i, (u, v, length) in enumerate(arcs):
+        adjacency[u].remove((v, length))
+        settled = list(_settle(adjacency, u, 0))
+        adjacency[u].append((v, length))
+        assert [d for _, d in settled] == sorted(d for _, d in settled)
         table = floyd_warshall(g.nodes, g.arcs[:i] + g.arcs[i + 1 :])
-        for u in g.nodes:
-            for v in g.nodes:
-                assert g.distance(u, v, skip_arc=i) == table[u][v]
+        reachable = {w: d for w, d in table[u].items() if d is not None}
+        assert {w: Fraction(d, scale) for w, d in settled} == reachable
+
+
+def reference_girth(g):
+    """Girth as it was computed before the shared loop: for each arc, a
+    ``Fraction`` Dijkstra over an adjacency rebuilt without that arc."""
+    best = None
+    for i, (u, v, length) in enumerate(g.arcs):
+        if u == v:
+            best = length if best is None else min(best, length)
+            continue
+        adjacency = {n: [] for n in g.nodes}
+        for j, (a, b, arc_length) in enumerate(g.arcs):
+            if j != i:
+                adjacency[a].append((b, arc_length))
+                adjacency[b].append((a, arc_length))
+        dist, settled, heap = {u: Fraction(0)}, set(), [(Fraction(0), u)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if node in settled:
+                continue
+            settled.add(node)
+            for other, arc_length in adjacency[node]:
+                if other not in dist or d + arc_length < dist[other]:
+                    dist[other] = d + arc_length
+                    heapq.heappush(heap, (d + arc_length, other))
+        if v in dist:
+            best = dist[v] + length if best is None else min(best, dist[v] + length)
+    return best
+
+
+GIRTH_EXAMPLES = {
+    "lone-loop": (MetricGraph(("a",), (("a", "a", F(5, 7)),)), F(5, 7)),
+    "parallel-pair": (
+        MetricGraph(("a", "b"), (("a", "b", F(1, 2)), ("a", "b", F(1, 3)))),
+        F(5, 6),
+    ),
+    "acyclic": (
+        MetricGraph(("a", "b", "c", "d"), (("a", "b", F(1)), ("b", "c", F(2)), ("b", "d", F(3)))),
+        None,
+    ),
+    # the only cycle lies in the second component
+    "second-component": (
+        MetricGraph(
+            ("a", "b", "c", "d", "e"),
+            (("a", "b", F(1)), ("c", "d", F(1, 3)), ("d", "e", F(1, 3)), ("e", "c", F(1, 2))),
+        ),
+        F(7, 6),
+    ),
+    # a square of 1/2, 1/3, 1/7, 1/7 and a chord: the lcm is 42, no one denominator
+    "denominators-2-3-7": (
+        MetricGraph(
+            ("a", "b", "c", "d"),
+            (
+                ("a", "b", F(1, 2)),
+                ("b", "c", F(1, 3)),
+                ("c", "d", F(1, 7)),
+                ("d", "a", F(1, 7)),
+                ("a", "c", F(3, 2)),
+            ),
+        ),
+        F(47, 42),
+    ),
+    "long-cycle": (LONG_CYCLE, F(1000000001)),
+}
+
+
+@pytest.mark.parametrize("g, girth", GIRTH_EXAMPLES.values(), ids=GIRTH_EXAMPLES)
+def test_girth_examples(g, girth):
+    assert g.girth() == reference_girth(g) == g.girth_exhaustive() == girth
 
 
 @given(metric_graphs())
 @example(LONG_CYCLE)
 def test_girth_algorithms_agree(g):
-    assert g.girth() == g.girth_exhaustive()
+    assert g.girth() == reference_girth(g) == g.girth_exhaustive()
 
 
 def two_colourable(nodes, arcs):

@@ -403,9 +403,9 @@ def test_distance_rows_are_made_when_a_node_is_first_placed(monkeypatch):
     calls = []
     real = MetricGraph.distances_from
 
-    def distances_from(graph, node, skip_arc=None):
+    def distances_from(graph, node):
         calls.append(node)
-        return real(graph, node, skip_arc)
+        return real(graph, node)
 
     monkeypatch.setattr(MetricGraph, "distances_from", distances_from)
     work = {

@@ -8,9 +8,9 @@ whose output changed.  Only two things are
 normalised: the audit's ``seconds``, which are wall times, and the
 scratch directory, spelled ``{tmp}`` in the corpus, which holds the
 input files of ``INPUTS`` and any file a command writes.  ``COLUMNS`` is
-fixed, since argparse wraps its usage text to the terminal, and the
-parser is built once: building it takes about 4 ms, which would be a
-third of the corpus's time.
+fixed, since argparse wraps its usage text to the terminal, and each
+command's parser is built once: building them takes milliseconds, which
+would be a third of the corpus's time.
 
 A change that alters an output on purpose re-records the corpus with
 ``PYTHONPATH=src python tests/test_golden.py``, which prints each entry
