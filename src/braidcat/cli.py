@@ -6,7 +6,7 @@ the parsed arguments to (payload, text, exit code), and ``main`` writes
 one of the two.  Every subcommand but ``export`` writes its payload as
 JSON with ``--json PATH`` and its text without it; ``export`` renders
 as ``--format`` says and writes to ``--out PATH``.  A path of ``-``, or
-no path, means stdout.
+no path, means stdout; one that could not be written is refused before any work.
 
 Exit codes: 0 when every requested check passed (resolved counts as a
 pass), 1 when any check failed, 2 when the outcome is inconclusive (a
@@ -394,16 +394,6 @@ def _cmd_graph_dist(args) -> Result:
 
 
 def _cmd_embed(args) -> Result:
-    if args.trace == "-":
-        raise CliError("--trace takes a file; stdout carries the result")
-    if args.trace is not None and args.json not in (None, "-"):
-        if Path(args.trace).resolve() == Path(args.json).resolve():
-            raise CliError("--trace and --json name one file; give the trace its own")
-    for flag, path in (("--trace", args.trace), ("--json", args.json)):
-        if path not in (None, "-") and Path(path).is_dir():
-            raise CliError(f"{flag} {path}: is a directory, not a file")
-        if path not in (None, "-") and not Path(path).parent.is_dir():
-            raise CliError(f"{flag} {path}: no directory {Path(path).parent}")
     source = _load("graph", args.source)
     target = _load("graph", args.target)
     automorphisms = [fixtures.link_symmetry(target)] if args.symmetry else None
@@ -676,7 +666,19 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the top level takes no option with a value, so its first other word names the command
     args = build_parser(next((w for w in argv if not w.startswith("-")), None)).parse_args(argv)
-    try:
+    try:  # refuse, before any work, an output that could not be written
+        trace = getattr(args, "trace", None)
+        if trace == "-":
+            raise CliError("--trace takes a file; stdout carries the result")
+        if trace is not None and args.json not in (None, "-"):
+            if Path(trace).resolve() == Path(args.json).resolve():
+                raise CliError("--trace and --json name one file; give the trace its own")
+        result = "--out" if args.command == "export" else "--json"
+        for flag, path in (("--trace", trace), (result, args.json)):
+            if path not in (None, "-") and Path(path).is_dir():
+                raise CliError(f"{flag} {path}: is a directory, not a file")
+            if path not in (None, "-") and not Path(path).parent.is_dir():
+                raise CliError(f"{flag} {path}: no directory {Path(path).parent}")
         payload, text, code = args.func(args)
         if args.json is not None and payload is not None:
             text = json.dumps(payload, indent=2, sort_keys=True)

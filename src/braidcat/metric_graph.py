@@ -179,33 +179,28 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
     def smooth(self) -> MetricGraph:
         """Suppress every node of degree two, adding the lengths of its
         two arcs.  A node whose both germs lie on one loop stays, since
-        a circle needs at least one node to survive."""
-        nodes = list(self.nodes)
+        a circle needs at least one node to survive.
+
+        One pass in name order gives what suppressing the least eligible
+        node, again and again, would: a suppression changes no other
+        node's degree and can leave a loop on a neighbour, never take one
+        away, so the next node to go is the next eligible one by name.  The
+        merged arc goes last; each node lists its arcs by creation."""
         arcs = [tuple(arc) for arc in self.arcs]
-        while True:
-            inc: dict[str, list[int]] = {n: [] for n in nodes}
-            for i, (u, v, _) in enumerate(arcs):
-                inc[u].append(i)
-                inc[v].append(i)
-            target = None
-            for n in sorted(nodes):
-                ends = inc[n]
-                if len(ends) == 2 and ends[0] != ends[1]:
-                    target = n
-                    break
-            if target is None:
-                return MetricGraph(tuple(nodes), tuple(arcs))
-            i, j = inc[target]
-            u1, v1, l1 = arcs[i]
-            u2, v2, l2 = arcs[j]
-            merged = (
-                u1 if v1 == target else v1,
-                u2 if v2 == target else v2,
-                l1 + l2,
-            )
-            arcs = [arc for k, arc in enumerate(arcs) if k not in (i, j)]
-            arcs.append(merged)
-            nodes.remove(target)
+        inc = {n: [i for i, _ in ends] for n, ends in self.incidence().items()}
+        for n in sorted(self.nodes):
+            ends = inc[n]
+            if len(ends) == 2 and ends[0] != ends[1]:
+                (u1, v1, l1), (u2, v2, l2) = arcs[ends[0]], arcs[ends[1]]
+                merged = (u1 if v1 == n else v1, u2 if v2 == n else v2, l1 + l2)
+                for i, other in zip(ends, merged[:2]):
+                    inc[other].remove(i)
+                    inc[other].append(len(arcs))
+                    arcs[i] = None
+                arcs.append(merged)
+                del inc[n]
+        kept = tuple(arc for arc in arcs if arc is not None)
+        return MetricGraph(tuple(n for n in self.nodes if n in inc), kept)
 
     def is_bipartite(self) -> bool:
         """Whether the nodes 2-colour across every arc; a loop never does."""

@@ -579,43 +579,64 @@ def test_embed_refuses_one_file_for_trace_and_result(capsys, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "trace, result, refused",
-    [("t.json", "missing/r.json", "--json missing/r.json"),
-     ("missing/t.json", "r.json", "--trace missing/t.json")],
-)
-def test_embed_refuses_an_output_in_a_missing_directory(
-    capsys, tmp_path, monkeypatch, trace, result, refused
-):
-    """Either output could not be written, so the search does not run and
-    the other output is not left behind."""
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(
-        capsys, "embed", "--source", "brady-link", "--target", "brady-link", "--mode", "first",
-        "--trace", trace, "--json", result,
-    )
-    assert code == 2 and out == ""
-    assert err == f"error: {refused}: no directory missing\n"
-    assert list(tmp_path.iterdir()) == []
+# one minimal valid argv per subcommand, and the flag that names its result file
+SUBCOMMANDS = {
+    "garside-nf": (("garside", "nf", "a"), "--json"),
+    "garside-eq": (("garside", "eq", "a", "a"), "--json"),
+    "garside-orbit": (("garside", "orbit", "a", "b"), "--json"),
+    "garside-audit-presentation": (("garside", "audit-presentation"), "--json"),
+    "verify-index": (("verify", "index", "--fixture", "index-four"), "--json"),
+    "verify-pi": (("verify", "pi"), "--json"),
+    "verify-perm": (("verify", "perm"), "--json"),
+    "complex-build": (("complex", "build", "x1bar"), "--json"),
+    "complex-link": (("complex", "link", "x1bar"), "--json"),
+    "complex-cat0": (("complex", "cat0", "x1bar"), "--json"),
+    "graph-girth": (("graph", "girth", "brady-link"), "--json"),
+    "graph-dist": (("graph", "dist", "brady-link", "v1", "v2"), "--json"),
+    "embed": (("embed", "--source", "brady-link", "--target", "brady-link"), "--json"),
+    "audit": (("audit",), "--json"),
+    "export": (("export", "audit-report"), "--out"),
+}
+IS_DIRECTORY, NO_DIRECTORY = "is a directory, not a file", "no directory missing"
 
 
-@pytest.mark.parametrize(
-    "trace, result, refused",
-    [("t.json", ".", "--json ."), (".", "r.json", "--trace ."), ("t.json", "out", "--json out")],
-)
-def test_embed_refuses_a_directory_as_an_output(
-    capsys, tmp_path, monkeypatch, trace, result, refused
-):
-    """A directory cannot take the output, so the search does not run and
-    the other output is not left behind."""
+def embed_with(trace, result):
+    return SUBCOMMANDS["embed"][0] + ("--trace", trace, "--json", result)
+
+
+OUTPUT_REFUSALS = {
+    **{
+        f"{name}-directory": (argv + (flag, "out"), f"{flag} out: {IS_DIRECTORY}")
+        for name, (argv, flag) in SUBCOMMANDS.items()
+    },
+    **{
+        f"{name}-missing": (
+            argv + (flag, "missing/r.json"), f"{flag} missing/r.json: {NO_DIRECTORY}"
+        )
+        for name, (argv, flag) in SUBCOMMANDS.items()
+    },
+    # either output is refused, and the other one is not left behind
+    "embed-trace-missing": (
+        embed_with("missing/t.json", "r.json"), f"--trace missing/t.json: {NO_DIRECTORY}"
+    ),
+    "embed-json-missing": (
+        embed_with("t.json", "missing/r.json"), f"--json missing/r.json: {NO_DIRECTORY}"
+    ),
+    "embed-trace-directory": (embed_with(".", "r.json"), f"--trace .: {IS_DIRECTORY}"),
+    "embed-json-dot": (embed_with("t.json", "."), f"--json .: {IS_DIRECTORY}"),
+    "embed-json-directory": (embed_with("t.json", "out"), f"--json out: {IS_DIRECTORY}"),
+}
+
+
+@pytest.mark.parametrize("argv, refused", OUTPUT_REFUSALS.values(), ids=OUTPUT_REFUSALS)
+def test_bad_output_is_refused_before_any_work(capsys, tmp_path, monkeypatch, argv, refused):
+    """An output that could not be written is refused with one error line
+    before any work: no file is written and the audit never runs."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_audit", lambda *a, **k: pytest.fail("the audit ran"))
     (tmp_path / "out").mkdir()
-    code, out, err = run(
-        capsys, "embed", "--source", "brady-link", "--target", "brady-link", "--mode", "first",
-        "--trace", trace, "--json", result,
-    )
-    assert code == 2 and out == ""
-    assert err == f"error: {refused}: is a directory, not a file\n"
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {refused}\n")
     assert [path.name for path in tmp_path.rglob("*")] == ["out"]
 
 

@@ -5,8 +5,9 @@ Random small metric graphs, with loops, parallel arcs, disconnected
 parts, mixed denominators and lengths near 10^9, are checked against a
 Floyd-Warshall table computed here, which shares no code with the
 Dijkstra loop of ``distances_from`` and ``girth``, against the
-per-arc ``Fraction`` deletion that ``girth`` used to run, and against a
-2-colouring found by trying every colouring.
+per-arc ``Fraction`` deletion that ``girth`` used to run, against a
+2-colouring found by trying every colouring, and against the smoothing
+loop that suppressed one node per rebuilt incidence table.
 """
 
 import heapq
@@ -21,6 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from braidcat.fixtures import GRAPH_NAMES, graph_fixture  # noqa: E402
 from braidcat.metric_graph import MetricGraph, _adjacency, _settle  # noqa: E402
 
 F = Fraction
@@ -200,3 +202,76 @@ def test_smooth_keeps_the_metric(g):
     assert sum(a[2] for a in smooth.arcs) == sum(a[2] for a in g.arcs)
     # no node is left on exactly two distinct arcs
     assert all(len(ends) != 2 or ends[0][0] == ends[1][0] for ends in smooth.incidence().values())
+
+
+def reference_smooth(g):
+    """Smoothing as it was computed before the single pass: rebuild the
+    incidence table, suppress the least node that can go, and repeat."""
+    nodes = list(g.nodes)
+    arcs = [tuple(arc) for arc in g.arcs]
+    while True:
+        inc: dict[str, list[int]] = {n: [] for n in nodes}
+        for i, (u, v, _) in enumerate(arcs):
+            inc[u].append(i)
+            inc[v].append(i)
+        target = None
+        for n in sorted(nodes):
+            ends = inc[n]
+            if len(ends) == 2 and ends[0] != ends[1]:
+                target = n
+                break
+        if target is None:
+            return MetricGraph(tuple(nodes), tuple(arcs))
+        i, j = inc[target]
+        u1, v1, l1 = arcs[i]
+        u2, v2, l2 = arcs[j]
+        merged = (
+            u1 if v1 == target else v1,
+            u2 if v2 == target else v2,
+            l1 + l2,
+        )
+        arcs = [arc for k, arc in enumerate(arcs) if k not in (i, j)]
+        arcs.append(merged)
+        nodes.remove(target)
+
+
+# the same graphs with their nodes listed in any order, so that the order
+# of the pass (by name) and the order of the output (as listed) differ
+listed_in_any_order = metric_graphs().flatmap(
+    lambda g: st.permutations(g.nodes).map(lambda order: g._replace(nodes=tuple(order)))
+)
+
+
+@given(listed_in_any_order)
+# a pure cycle collapses to one node holding a loop
+@example(MetricGraph(("c", "a", "b"), (("a", "b", F(1)), ("b", "c", F(1, 2)), ("c", "a", F(1, 3)))))
+# a parallel pair through b leaves a loop on c, which then stays
+@example(MetricGraph(("b", "c"), (("b", "c", F(1, 2)), ("c", "b", F(1, 3)))))
+# a chain of degree-two nodes, listed out of order, between two cubic nodes
+@example(
+    MetricGraph(
+        ("x", "y", "m3", "m1", "m2"),
+        (
+            ("x", "y", F(1)),
+            ("x", "m3", F(1, 2)),
+            ("m1", "m3", F(1, 3)),
+            ("y", "x", F(2)),
+            ("m2", "y", F(1, 4)),
+            ("m1", "m2", F(1, 5)),
+        ),
+    )
+)
+# a loop holder next to a degree-two node
+@example(MetricGraph(("h", "d", "e"), (("h", "h", F(1)), ("d", "e", F(1, 2)), ("h", "d", F(1, 3)))))
+# names listed against their sorted order
+@example(
+    MetricGraph(("d", "c", "b", "a"), (("a", "b", F(1)), ("b", "c", F(1, 2)), ("c", "d", F(1, 3))))
+)
+def test_smooth_matches_the_reference_loop(g):
+    assert g.smooth() == reference_smooth(g)
+
+
+@pytest.mark.parametrize("name", GRAPH_NAMES)
+def test_smooth_of_each_graph_fixture_matches_the_reference_loop(name):
+    g = graph_fixture(name)
+    assert g.smooth() == reference_smooth(g)
