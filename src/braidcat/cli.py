@@ -670,11 +670,13 @@ def main(argv: list[str] | None = None) -> int:
         trace = getattr(args, "trace", None)
         if trace == "-":
             raise CliError("--trace takes a file; stdout carries the result")
-        if trace is not None and args.json not in (None, "-"):
+        if trace and args.json not in (None, "", "-"):  # an empty path is refused below
             if Path(trace).resolve() == Path(args.json).resolve():
                 raise CliError("--trace and --json name one file; give the trace its own")
         result = "--out" if args.command == "export" else "--json"
         for flag, path in (("--trace", trace), (result, args.json)):
+            if path == "":
+                raise CliError(f"{flag} takes a file name, not an empty path")
             if path not in (None, "-") and Path(path).is_dir():
                 raise CliError(f"{flag} {path}: is a directory, not a file")
             if path not in (None, "-") and not Path(path).parent.is_dir():

@@ -10,7 +10,8 @@ backtracks (reverses along the arc it just used).  Such a loop always
 contains an embedded cycle of no greater length, so two independent
 computations are provided: one deletes each arc in turn and asks for a
 shortest path between its endpoints, the other enumerates embedded
-cycles outright.  They must agree, and the test suite insists on it.
+cycles outright, on a stack of its own, so a long cycle needs no
+recursion.  They must agree, and the test suite insists on it.
 
 One Dijkstra loop, ``_settle``, runs ``girth`` on integers in units of
 1/L (L the lcm of the denominators) and ``distances_from`` on ``Fraction``s,
@@ -133,45 +134,34 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
         """Shortest embedded cycle, by direct enumeration; None when the
         graph has no cycle.
 
-        Loops and parallel pairs are the cycles on fewer than three
-        nodes; longer cycles are grown from their least node so each is
-        produced once up to rotation and reflection.
-        """
+        From each root, one walk with its own stack grows paths over arcs
+        through unused nodes named above the root, never back along the
+        arc just taken, and drops a path that can no longer beat the best.
+        An arc back to the root closes a cycle, so a loop is a cycle of one
+        arc and a parallel pair one of two; each is found from its least
+        node."""
         scale = lcm(*(length.denominator for _, _, length in self.arcs))
-        arcs = [(u, v, int(length * scale)) for u, v, length in self.arcs]
+        ends: dict[str, list[tuple[int, str, int]]] = {n: [] for n in self.nodes}
+        for i, (u, v, length) in enumerate(self.arcs):
+            ends[u].append((i, v, int(length * scale)))
+            ends[v].append((i, u, int(length * scale)))
         best = None
-        by_pair: dict[tuple[str, str], list[int]] = {}
-        for u, v, length in arcs:
-            if u == v:
-                best = _shorter(best, length)
-            else:
-                by_pair.setdefault((min(u, v), max(u, v)), []).append(length)
-        for lengths in by_pair.values():
-            if len(lengths) >= 2:
-                pair = sorted(lengths)
-                best = _shorter(best, pair[0] + pair[1])
-
-        order = {n: i for i, n in enumerate(self.nodes)}
-        adjacency: dict[str, list[tuple[str, int]]] = {n: [] for n in self.nodes}
-        for u, v, length in arcs:
-            if u != v:
-                adjacency[u].append((v, length))
-                adjacency[v].append((u, length))
-
-        def grow(root: str, node: str, used: set[str], total: int) -> None:
-            nonlocal best
-            if best is not None and total >= best:
-                return
-            for other, length in adjacency[node]:
-                if other == root and len(used) >= 3:
-                    best = _shorter(best, total + length)
-                elif other not in used and order[other] > order[root]:
-                    used.add(other)
-                    grow(root, other, used, total + length)
-                    used.remove(other)
-
         for root in self.nodes:
-            grow(root, root, {root}, 0)
+            used, stack = {root}, [(root, None, 0, iter(ends[root]))]
+            while stack:
+                node, came_by, total, todo = stack[-1]
+                for i, other, length in todo:
+                    if i == came_by or best is not None and total + length >= best:
+                        continue
+                    if other == root:
+                        best = total + length
+                    elif other not in used and other > root:
+                        used.add(other)
+                        stack.append((other, i, total + length, iter(ends[other])))
+                        break
+                else:
+                    stack.pop()
+                    used.remove(node)
         return None if best is None else Fraction(best, scale)
 
     # -- operations -----------------------------------------------------

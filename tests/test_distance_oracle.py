@@ -166,6 +166,30 @@ def test_girth_examples(g, girth):
 
 @given(metric_graphs())
 @example(LONG_CYCLE)
+@example(MetricGraph(("a", "b"), (("a", "b", F(1)),)))  # one arc, no cycle
+@example(MetricGraph(("a",), (("a", "a", F(2)), ("a", "a", F(1, 2)))))  # two loops at one node
+# a triangle with a loop at c, a node the walks from a and b pass through
+@example(
+    MetricGraph(
+        ("a", "b", "c"),
+        (("a", "b", F(1)), ("b", "c", F(1)), ("c", "a", F(1)), ("c", "c", F(5, 2))),
+    )
+)
+# three parallel arcs, the longest first: girth 4, not the 5 of the first two
+@example(MetricGraph(("a", "b"), (("a", "b", F(3)), ("a", "b", F(2)), ("b", "a", F(2)))))
+# names listed against their sorted order
+@example(
+    MetricGraph(
+        ("d", "c", "b", "a"),
+        (
+            ("d", "c", F(1)),
+            ("c", "b", F(1, 2)),
+            ("b", "d", F(1, 3)),
+            ("b", "a", F(1)),
+            ("a", "d", F(1)),
+        ),
+    )
+)
 def test_girth_algorithms_agree(g):
     assert g.girth() == reference_girth(g) == g.girth_exhaustive()
 

@@ -127,6 +127,15 @@ def test_girth_of_a_large_graph(graph, girth, seconds):
     assert time.process_time() - start < seconds
 
 
+def test_girth_exhaustive_of_a_long_cycle():
+    """The enumeration keeps its own stack, so a cycle of 1,200 nodes
+    needs no recursion: a recursive walk raised RecursionError here
+    under the default limit of 1,000."""
+    start = time.process_time()
+    assert unit_cycle(1200).girth_exhaustive() == F(1200)
+    assert time.process_time() - start < 2.0
+
+
 def test_girth_algorithms_agree_random():
     rng = random.Random(SEED)
     for _ in range(60):
