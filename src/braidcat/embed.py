@@ -464,34 +464,27 @@ class _Search:
 
     def _embedded_paths(self, start: str, goal: str, length: int) -> list[_Path]:
         """Every embedded path (or loop, when start is goal) of the given
-        length from start to goal, in dart order, whatever else is in use."""
-        out = self.out
-        found: list[_Path] = []
-        # the path so far: its darts, their arcs, and the nodes inside it
-        path: list[Dart] = []
-        path_arcs: list[int] = []
-        inner: list[str] = []
+        length from start to goal, in dart order, whatever else is in use.
 
-        def extend(at: str, remaining: int) -> None:
-            for dart, arc, length, end in out[at]:
-                if arc in path_arcs:
-                    continue
-                left = remaining - length
-                if left < 0:
+        One walk with its own stack of partial paths: each is its last
+        node, the length it still needs, and its darts, arcs and inner
+        nodes.  A node's darts are pushed last first and a path that needs
+        no more length is found when it is popped, so paths come out depth
+        first in dart order."""
+        found: list[_Path] = []
+        stack = [(start, length, (), (), ())]
+        while stack:
+            at, remaining, darts, arcs, inner = stack.pop()
+            if remaining == 0:
+                found.append((darts, frozenset(arcs), frozenset(inner)))
+                continue
+            for dart, arc, step, end in reversed(self.out[at]):
+                left = remaining - step
+                if left < 0 or arc in arcs:
                     continue
                 if left == 0:
                     if end == goal:
-                        found.append(
-                            ((*path, dart), frozenset((*path_arcs, arc)), frozenset(inner))
-                        )
+                        stack.append((end, 0, (*darts, dart), (*arcs, arc), inner))
                 elif not (end == start or end == goal or end in inner):
-                    path.append(dart)
-                    path_arcs.append(arc)
-                    inner.append(end)
-                    extend(end, left)
-                    inner.pop()
-                    path_arcs.pop()
-                    path.pop()
-
-        extend(start, length)
+                    stack.append((end, left, (*darts, dart), (*arcs, arc), (*inner, end)))
         return found

@@ -351,19 +351,30 @@ def unit_paths(ends, count, length):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("search", ["girth", "embed"])
-def test_input_deeper_than_the_recursion_limit_is_refused(tmp_path, capsys, search):
-    # The embedding search recurses once per node of a route, so a 60-arc
-    # route of a theta graph into its subdivision is refused.  The girth
-    # enumeration keeps its own stack: a 60-node cycle gets its answer.
+@pytest.mark.parametrize("search", ["girth", "embed", "prism"])
+def test_input_deeper_than_the_recursion_limit(tmp_path, capsys, search):
+    # The girth enumeration and the route enumeration keep their own
+    # stacks, so a 60-node cycle and a 60-arc route of a theta graph into
+    # its subdivision get answers.  The search still recurses once per
+    # source node and source arc: a prism of 20 nodes and 30 arcs into
+    # itself reaches the backstop.
     theta, target = tmp_path / "theta.txt", tmp_path / "target.txt"
-    theta.write_text("node p\nnode q\n" + "arc p q 60/1\n" * 3)
-    target.write_text(unit_paths(["p", "q"], 3, 60))
+    theta.write_text("node P\nnode Q\n" + "arc P Q 60/1\n" * 3)
+    target.write_text(unit_paths(["P", "Q"], 3, 60))
     cycle = tmp_path / "cycle.txt"
     cycle.write_text(unit_paths(["v"], 1, 60))
+    prism = tmp_path / "prism.txt"
+    prism.write_text(
+        "".join(f"node a{i}\nnode b{i}\n" for i in range(10))
+        + "".join(
+            f"arc a{i} a{(i + 1) % 10} 1/1\narc b{i} b{(i + 1) % 10} 1/1\narc a{i} b{i} 1/1\n"
+            for i in range(10)
+        )
+    )
     argv = {
         "girth": ("graph", "girth", str(cycle), "--both"),
         "embed": ("embed", "--source", str(theta), "--target", str(target), "--mode", "first"),
+        "prism": ("embed", "--source", str(prism), "--target", str(prism), "--mode", "first"),
     }[search]
     limit, low = sys.getrecursionlimit(), len(inspect.stack(0)) + 40
     sys.setrecursionlimit(low)
@@ -373,6 +384,8 @@ def test_input_deeper_than_the_recursion_limit_is_refused(tmp_path, capsys, sear
         sys.setrecursionlimit(limit)
     if search == "girth":
         assert (code, out, err) == (0, "girth 60/1 pi, enumeration agrees: yes\n", "")
+    elif search == "embed":
+        assert (code, out, err) == (0, "1 embedding(s) found (all verified), 6 search nodes\n", "")
     else:
         assert code == 2 and out == ""
         assert err == f"error: input too deep to search; the recursion limit is {low}\n"

@@ -1,5 +1,6 @@
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -318,6 +319,18 @@ def test_first_mode_stops_early():
     everything = find_embeddings(src, tgt, mode="all")
     assert len(first.certificates) == 1
     assert first.nodes_explored < everything.nodes_explored
+
+
+def test_routes_longer_than_the_recursion_limit():
+    """Routes are enumerated on a stack of their own, so three routes of
+    1,100 arcs each need no recursion: a recursive enumeration raised
+    RecursionError here under the default limit of 1,000."""
+    start = time.process_time()
+    src, tgt = theta(F(1100)), subdivided_theta(1100)
+    out = find_embeddings(src, tgt, mode="first")
+    assert out.found
+    assert all(ok for _, ok in verify_embedding(src, tgt, out.certificates[0]))
+    assert time.process_time() - start < 2.0
 
 
 def _audit_searches():

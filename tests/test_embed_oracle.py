@@ -9,6 +9,10 @@ certificate of ``mode="all"``.  On the tiny instances the certificates
 must be exactly those of a brute-force enumerator written here from
 the definition, which shares no code with the search.
 
+The routes the search enumerates for each (start, goal, length) key
+must be, in order, the chains ``walks`` lists that pass through no node
+twice and through neither end.
+
 The root symmetry's orbit representatives are checked against the
 former implementation, which enumerated the whole generated group.
 """
@@ -26,6 +30,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from braidcat.embed import (  # noqa: E402
     Embedding,
+    _Search,
     find_embeddings,
     orbit_representatives,
     verify_embedding,
@@ -125,8 +130,9 @@ def walks(target, start, goal, length):
     found = []
 
     def extend(at, darts, left):
+        crossed = {a for a, _ in darts}
         for i, (u, v, arc_length) in enumerate(target.arcs):
-            if any(a == i for a, _ in darts) or arc_length > left:
+            if i in crossed or at not in (u, v) or arc_length > left:
                 continue
             for direction, (tail, head) in enumerate(((u, v), (v, u))):
                 if tail != at:
@@ -203,6 +209,24 @@ def test_search_agrees_with_verifier_trace_and_first_mode(instance):
     assert traced.nodes_explored == everything.nodes_explored
     first = find_embeddings(source, target, mode="first")
     assert first.certificates == everything.certificates[:1]
+
+
+@given(instances())
+@hand_made
+def test_route_enumeration_is_the_embedded_walks(instance):
+    """Each ordered pair of target nodes, and each length in the search's
+    unit 1/L up to 2, past the longest arc a source is drawn with."""
+    source, target = instance
+    search = _Search(source, target, "all", [], False)
+    most = search._scaled(F(2))
+    for start, goal in itertools.product(target.nodes, repeat=2):
+        for n in range(1, most + 1):
+            embedded = []
+            for chain in walks(target, start, goal, F(n, search.scale)):
+                inner = [_head(target, d) for d in chain[:-1]]
+                if len(set(inner)) == len(inner) and not {start, goal} & set(inner):
+                    embedded.append(chain)
+            assert [darts for darts, _, _ in search._embedded_paths(start, goal, n)] == embedded
 
 
 # -- orbit representatives ----------------------------------------------
