@@ -7,17 +7,29 @@ entries one at a time and push every consequence through a deduction
 stack before defining the next).  Both follow Holt, Handbook of
 Computational Group Theory, section 5.2: cosets live in a table with
 one column per generator and per inverse, coincidences are processed
-through a union-find array, and rows are compacted away only at the
-end.  Running both and comparing counts is cheap insurance against
+through a union-find array, and dead cosets are numbered away only at
+the end.  Running both and comparing counts is cheap insurance against
 bookkeeping slips.
+
+The table is stored by column, one list per column indexed by coset.
+Each relator, subgroup word and Felsch rotation is compiled once per
+enumeration into the column lists of its letters and of their
+inverses, so a scan step is one list lookup.  Before scanning a relator
+at a coset, both strategies trace it forwards: a trace that closes back
+at the coset means the scan would change nothing, so it is skipped; any
+other outcome runs the scan from the start.  Only Felsch reads the
+deduction stack, so HLT clears it at every coset instead of keeping a
+record of every entry it ever filled.
 
 A Felsch deduction (alpha, x) scans only the relator rotations that
 start with x at alpha.  Holt also scans those that start with x^-1 at
 alpha x, but the rotations include every relator's inverse and a scan
 walks both ways, so each of those walks the same relator cycle through
-the same table edge again.  Neither strategy scans at a coset once a
-coincidence has killed it: its row is stale, and a deduction read from
-it would tie live cosets to dead ones.
+the same table edge again.  A relator that is a power u^m has only
+len(u) distinct rotations, so only those are built.  Neither strategy
+scans at a coset once a coincidence has killed it: its entries are
+stale, and a deduction read from them would tie live cosets to dead
+ones.
 
 :func:`verify_table` re-checks any completed table from scratch.  It
 shares no code with the enumeration table: it inverts each generator's
@@ -32,6 +44,7 @@ definition order, so repeated runs give identical tables.
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from collections.abc import Sequence
 
 from .words import Alphabet, Letter, Word
 
@@ -85,22 +98,35 @@ class _Overflow(Exception):
     pass
 
 
+# A relator compiled against one table: its columns, and the column lists
+# of its letters and of their inverses.
+_Relator = tuple[Sequence[int], list[list[int | None]], list[list[int | None]]]
+
+
 class _Table:
     """Shared mutable state for both strategies.
 
-    Columns come in pairs: column 2i is generator i, column 2i + 1 its
-    inverse.  ``p`` is the coincidence union-find array; a coset k is
-    live iff p[k] == k.  All traffic through dead cosets goes through
-    :meth:`rep` first.
+    The table is kept by column: ``cols[c][k]`` is coset k times column
+    c, or None while undefined.  Columns come in pairs: column 2i is
+    generator i, column 2i + 1 its inverse.  Column lists only ever grow,
+    so a compiled relator may hold them.  ``p`` is the coincidence
+    union-find array; a coset k is live iff p[k] == k, and p[k] <= k.
+    All traffic through dead cosets goes through :meth:`rep` first.
     """
 
     def __init__(self, n_gens: int, cap: int):
-        self.ncols = 2 * n_gens
-        self.tab: list[list[int | None]] = [[None] * self.ncols]
+        self.cols: list[list[int | None]] = [[None] for _ in range(2 * n_gens)]
+        # (c, column c, its inverse column), as coincidence processing walks them
+        self.pairs = [(c, col, self.cols[c ^ 1]) for c, col in enumerate(self.cols)]
         self.p: list[int] = [0]
         self.defined = 1
         self.cap = cap
         self.deductions: list[tuple[int, int]] = []
+
+    def compile(self, word: Sequence[int]) -> _Relator:
+        """A word with the column lists of its letters and of their inverses."""
+        cols = self.cols
+        return word, [cols[c] for c in word], [cols[c ^ 1] for c in word]
 
     def rep(self, k: int) -> int:
         root = k
@@ -113,12 +139,13 @@ class _Table:
     def define(self, alpha: int, col: int) -> int:
         if self.defined >= self.cap:
             raise _Overflow
-        beta = len(self.tab)
-        self.tab.append([None] * self.ncols)
+        beta = len(self.p)
+        for column in self.cols:
+            column.append(None)
         self.p.append(beta)
         self.defined += 1
-        self.tab[alpha][col] = beta
-        self.tab[beta][col ^ 1] = alpha
+        self.cols[col][alpha] = beta
+        self.cols[col ^ 1][beta] = alpha
         self.deductions.append((alpha, col))
         return beta
 
@@ -132,24 +159,25 @@ class _Table:
     def coincidence(self, alpha: int, beta: int) -> None:
         queue: deque[int] = deque()
         self._merge(alpha, beta, queue)
+        rep = self.rep
         while queue:
             gamma = queue.popleft()
-            for col in range(self.ncols):
-                delta = self.tab[gamma][col]
+            for c, col, inv in self.pairs:
+                delta = col[gamma]
                 if delta is None:
                     continue
-                self.tab[delta][col ^ 1] = None
-                mu, nu = self.rep(gamma), self.rep(delta)
-                if self.tab[mu][col] is not None:
-                    self._merge(nu, self.tab[mu][col], queue)
-                elif self.tab[nu][col ^ 1] is not None:
-                    self._merge(mu, self.tab[nu][col ^ 1], queue)
+                inv[delta] = None
+                mu, nu = rep(gamma), rep(delta)
+                if col[mu] is not None:
+                    self._merge(nu, col[mu], queue)
+                elif inv[nu] is not None:
+                    self._merge(mu, inv[nu], queue)
                 else:
-                    self.tab[mu][col] = nu
-                    self.tab[nu][col ^ 1] = mu
-                    self.deductions.append((mu, col))
+                    col[mu] = nu
+                    inv[nu] = mu
+                    self.deductions.append((mu, c))
 
-    def scan(self, alpha: int, word: list[int], fill: bool) -> None:
+    def scan(self, alpha: int, relator: _Relator, fill: bool) -> None:
         """Trace a relator from alpha forwards and backwards.
 
         A gap of one is closed as a deduction; with ``fill`` a longer
@@ -157,18 +185,18 @@ class _Table:
         gives up.  A completed scan with mismatched ends triggers
         coincidence processing.
         """
-        tab = self.tab
+        word, fwd, bwd = relator
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
-            while i <= j and (g := tab[f][word[i]]) is not None:
+            while i <= j and (g := fwd[i][f]) is not None:
                 f = g
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and (g := tab[b][word[j] ^ 1]) is not None:
+            while j >= i and (g := bwd[j][b]) is not None:
                 b = g
                 j -= 1
             if j < i:
@@ -176,8 +204,8 @@ class _Table:
                     self.coincidence(f, b)
                 return
             if j == i:
-                tab[f][word[i]] = b
-                tab[b][word[i] ^ 1] = f
+                fwd[i][f] = b
+                bwd[i][b] = f
                 self.deductions.append((f, word[i]))
                 return
             if not fill:
@@ -189,17 +217,20 @@ def _word_cols(word: Word, alphabet: Alphabet) -> list[int]:
     return [2 * alphabet.index(name) + (0 if sign > 0 else 1) for name, sign in word.letters]
 
 
-def _rotations_by_first(relators: list[list[int]], ncols: int) -> list[list[list[int]]]:
-    """All rotations of every relator and its inverse, grouped by first column."""
-    grouped: list[list[list[int]]] = [[] for _ in range(ncols)]
+def _rotations_by_first(relators: list[list[int]], ncols: int) -> list[list[tuple[int, ...]]]:
+    """Every distinct rotation of every relator and its inverse, grouped
+    by first column.  A base repeats its rotations after its cyclic
+    period, the least shift at which it recurs in itself twice over, so
+    only that many are built: one for a^L, not L."""
+    grouped: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
     seen = set()
     for rel in relators:
         for base in (rel, [c ^ 1 for c in reversed(rel)]):
-            for k in range(len(base)):
-                rot = base[k:] + base[:k]
-                key = tuple(rot)
-                if rot and key not in seen:
-                    seen.add(key)
+            text = "".join(map(chr, base))
+            for k in range((text + text).find(text, 1)):
+                rot = (*base[k:], *base[:k])
+                if rot not in seen:
+                    seen.add(rot)
                     grouped[rot[0]].append(rot)
     return grouped
 
@@ -220,59 +251,78 @@ def enumerate_cosets(
     alphabet = presentation.alphabet
     table = _Table(len(alphabet.names), cap)
     relators = [_word_cols(r, alphabet) for r in presentation.relators if len(r)]
-    subgens = [_word_cols(w, alphabet) for w in subgroup if len(w)]
+    subgens = [table.compile(_word_cols(w, alphabet)) for w in subgroup if len(w)]
 
     try:
         if strategy == "hlt":
-            _run_hlt(table, relators, subgens)
+            _run_hlt(table, [table.compile(r) for r in relators], subgens)
         else:
-            _run_felsch(table, relators, subgens)
+            grouped = _rotations_by_first(relators, len(table.cols))
+            _run_felsch(table, [[table.compile(r) for r in rots] for rots in grouped], subgens)
     except _Overflow:
         return OverflowResult(cap=cap, defined=table.defined, strategy=strategy)
 
-    live = [k for k, parent in enumerate(table.p) if parent == k]
-    renumber = {k: i + 1 for i, k in enumerate(live)}
+    # A coset's representative is never above it, so one pass in order
+    # numbers the live cosets and sends each dead one to its live number.
+    live, number = [], []
+    for k, parent in enumerate(table.p):
+        if parent == k:
+            live.append(k)
+            number.append(len(live))
+        else:
+            number.append(number[table.rep(k)])
     action = {}
     for g, name in enumerate(alphabet.names):
-        images = []
-        for k in live:
-            target = table.tab[k][2 * g]
-            if target is None:
-                raise RuntimeError("closed table has an empty entry")
-            images.append(renumber[table.rep(target)])
-        action[name] = tuple(images)
-    return Enumeration(
-        count=len(live), action=action, defined=table.defined, strategy=strategy
-    )
+        targets = [table.cols[2 * g][k] for k in live]
+        if None in targets:
+            raise RuntimeError("closed table has an empty entry")
+        action[name] = tuple([number[t] for t in targets])
+    return Enumeration(count=len(live), action=action, defined=table.defined, strategy=strategy)
 
 
-def _run_hlt(table: _Table, relators: list[list[int]], subgens: list[list[int]]) -> None:
-    tab, p, scan = table.tab, table.p, table.scan
+def _run_hlt(table: _Table, relators: list[_Relator], subgens: list[_Relator]) -> None:
+    cols, p, scan, deductions = table.cols, table.p, table.scan, table.deductions
     for w in subgens:
         scan(0, w, True)
     alpha = 0
-    while alpha < len(tab):
+    while alpha < len(p):
+        deductions.clear()  # HLT reads none of them
         if p[alpha] == alpha:
             for rel in relators:
+                # the forward trace, written out here and in Felsch: a
+                # function call per trace would cost what the skip saves
+                f = alpha
+                for col in rel[1]:
+                    if (f := col[f]) is None:
+                        break
+                else:
+                    if f == alpha:  # a closed cycle: the scan would change nothing
+                        continue
                 scan(alpha, rel, True)
                 if p[alpha] != alpha:
                     break
             else:  # alpha outlived every scan
-                for col, entry in enumerate(tab[alpha]):
-                    if entry is None:
-                        table.define(alpha, col)
+                for c, col in enumerate(cols):
+                    if col[alpha] is None:
+                        table.define(alpha, c)
         alpha += 1
 
 
-def _run_felsch(table: _Table, relators: list[list[int]], subgens: list[list[int]]) -> None:
-    grouped = _rotations_by_first(relators, table.ncols)
-    tab, p, rep, scan, deductions = table.tab, table.p, table.rep, table.scan, table.deductions
+def _run_felsch(table: _Table, grouped: list[list[_Relator]], subgens: list[_Relator]) -> None:
+    cols, p, rep, scan, deductions = table.cols, table.p, table.rep, table.scan, table.deductions
 
     def process_deductions() -> None:
         while deductions:
-            alpha, col = deductions.pop()
+            alpha, c = deductions.pop()
             alpha = rep(alpha)
-            for rel in grouped[col]:
+            for rel in grouped[c]:
+                f = alpha
+                for col in rel[1]:
+                    if (f := col[f]) is None:
+                        break
+                else:
+                    if f == alpha:  # a closed cycle: the scan would change nothing
+                        continue
                 scan(alpha, rel, False)
                 if p[alpha] != alpha:
                     break
@@ -281,10 +331,10 @@ def _run_felsch(table: _Table, relators: list[list[int]], subgens: list[list[int
         scan(0, w, True)
     process_deductions()
     alpha = 0
-    while alpha < len(tab):
-        for col in range(table.ncols):
-            if p[alpha] == alpha and tab[alpha][col] is None:
-                table.define(alpha, col)
+    while alpha < len(p):
+        for c, col in enumerate(cols):
+            if p[alpha] == alpha and col[alpha] is None:
+                table.define(alpha, c)
                 process_deductions()
         alpha += 1
 

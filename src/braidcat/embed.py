@@ -466,25 +466,36 @@ class _Search:
         """Every embedded path (or loop, when start is goal) of the given
         length from start to goal, in dart order, whatever else is in use.
 
-        One walk with its own stack of partial paths: each is its last
-        node, the length it still needs, and its darts, arcs and inner
-        nodes.  A node's darts are pushed last first and a path that needs
-        no more length is found when it is popped, so paths come out depth
-        first in dart order."""
+        One walk with its own stack of frames, each the length a path still
+        needs and an iterator over its last node's darts.  The path's darts
+        are a list, its arcs and inner nodes sets, changed in place on the
+        way down and back up; a path's tuple and frozensets are built only
+        when it is found.  Darts are tried in order, so paths come out
+        depth first in dart order."""
         found: list[_Path] = []
-        stack = [(start, length, (), (), ())]
+        darts: list[Dart] = []
+        arcs: set[int] = set()
+        inner: set[str] = set()
+        stack = [(length, iter(self.out[start]))]
         while stack:
-            at, remaining, darts, arcs, inner = stack.pop()
-            if remaining == 0:
-                found.append((darts, frozenset(arcs), frozenset(inner)))
-                continue
-            for dart, arc, step, end in reversed(self.out[at]):
+            remaining, steps = stack[-1]
+            for dart, arc, step, end in steps:
                 left = remaining - step
                 if left < 0 or arc in arcs:
                     continue
                 if left == 0:
                     if end == goal:
-                        stack.append((end, 0, (*darts, dart), (*arcs, arc), inner))
+                        found.append(((*darts, dart), frozenset((*arcs, arc)), frozenset(inner)))
                 elif not (end == start or end == goal or end in inner):
-                    stack.append((end, left, (*darts, dart), (*arcs, arc), (*inner, end)))
+                    darts.append(dart)
+                    arcs.add(arc)
+                    inner.add(end)
+                    stack.append((left, iter(self.out[end])))
+                    break
+            else:
+                stack.pop()
+                if darts:
+                    dart = darts.pop()
+                    arcs.remove(dart[0])
+                    inner.remove(self.head[dart])
         return found
