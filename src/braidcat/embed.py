@@ -286,13 +286,10 @@ class _Search:
         self.src_length = [self._scaled(length) for *_, length in source.arcs]
         self.tail, self.head = _dart_maps(target)
         # target node -> (dart, arc, scaled length, head) for each dart leaving
-        # it: its incidence entries, since the dart (i, end) leaves arc i's end
+        # it, in dart order: the dart (i, end) leaves arc i's end at the node
         self.out: dict[str, list[tuple[Dart, int, int, str]]] = {
-            node: [
-                (dart, dart[0], self._scaled(target.arcs[dart[0]][2]), self.head[dart])
-                for dart in sorted(darts)
-            ]
-            for node, darts in target.incidence().items()
+            node: [((i, end), i, length, other) for i, end, other, length in ends]
+            for node, ends in target.darts(self.scale).items()
         }
         # node placed (source) or used as an image (target) -> its scaled distances
         self.src_rows, self.tgt_rows = {}, {}

@@ -13,14 +13,17 @@ shortest path between its endpoints, the other enumerates embedded
 cycles outright, on a stack of its own, so a long cycle needs no
 recursion.  They must agree, and the test suite insists on it.
 
-One Dijkstra loop, ``_settle``, runs ``girth`` on integers in units of
-1/L (L the lcm of the denominators) and ``distances_from`` on ``Fraction``s,
-as faster search rows break the benchmark's memory bound (see ROADMAP).
+Each node's arc ends, with the other end and the length, come from one
+table, ``MetricGraph.darts``.  One Dijkstra loop, ``_settle``, walks it
+for ``girth`` on integers in units of 1/L (L the lcm of the denominators)
+and for ``distances_from`` on ``Fraction``s, as faster search rows break
+the benchmark's memory bound (see ROADMAP).
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
 from math import lcm
@@ -40,18 +43,10 @@ def _shorter(best: int | None, length: int) -> int:
     return length if best is None or length < best else best
 
 
-def _adjacency(nodes: tuple[str, ...], arcs) -> dict[str, list[tuple]]:
-    """node -> (other end, length) for each end of each arc."""
-    adjacency: dict[str, list[tuple]] = {n: [] for n in nodes}
-    for u, v, length in arcs:
-        adjacency[u].append((v, length))
-        adjacency[v].append((u, length))
-    return adjacency
-
-
-def _settle(adjacency: dict, source: str, zero):
-    """Dijkstra from ``source``, on lengths of the exact type of ``zero``:
-    yields (node, distance) as each node it reaches settles."""
+def _settle(darts: dict, source: str, zero):
+    """Dijkstra from ``source`` over a ``MetricGraph.darts`` table, on
+    lengths of the exact type of ``zero``: yields (node, distance) as each
+    node it reaches settles."""
     dist, settled, heap = {source: zero}, set(), [(zero, source)]
     while heap:
         d, node = heapq.heappop(heap)
@@ -59,7 +54,7 @@ def _settle(adjacency: dict, source: str, zero):
             continue
         settled.add(node)
         yield node, d
-        for other, length in adjacency[node]:
+        for _, _, other, length in darts[node]:
             nd = d + length
             if other not in dist or nd < dist[other]:
                 dist[other] = nd
@@ -87,18 +82,21 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
 
     # -- local structure ------------------------------------------------
 
-    def incidence(self) -> dict[str, list[tuple[int, int]]]:
-        """node -> list of (arc index, end) with end 0 for u, 1 for v.
-        A loop contributes both of its ends."""
-        table: dict[str, list[tuple[int, int]]] = {n: [] for n in self.nodes}
-        for i, (u, v, _) in enumerate(self.arcs):
-            table[u].append((i, 0))
-            table[v].append((i, 1))
+    def darts(self, scale: int = 0) -> dict[str, list[tuple]]:
+        """node -> (arc index, end, other end, length) for each arc end at
+        it, in arc order, end 0 at u and 1 at v, so a loop is listed twice.
+        Lengths are Fractions, or whole numbers of 1/scale given a scale."""
+        table: dict[str, list[tuple]] = {n: [] for n in self.nodes}
+        for i, (u, v, length) in enumerate(self.arcs):
+            if scale:
+                length = length.numerator * (scale // length.denominator)
+            table[u].append((i, 0, v, length))
+            table[v].append((i, 1, u, length))
         return table
 
     def degrees(self) -> dict[str, int]:
-        """node -> degree, from one incidence table."""
-        return {n: len(ends) for n, ends in self.incidence().items()}
+        """node -> degree: the length of its dart list."""
+        return {n: len(ends) for n, ends in self.darts().items()}
 
     def degree_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(self.degrees().values()))
@@ -108,7 +106,7 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
     def distances_from(self, source: str) -> dict[str, Fraction]:
         """Exact shortest-path distance from ``source`` to every node it
         reaches; unreachable nodes are left out."""
-        return dict(_settle(_adjacency(self.nodes, self.arcs), source, Fraction(0)))
+        return dict(_settle(self.darts(), source, Fraction(0)))
 
     def distance(self, source: str, target: str) -> Fraction | None:
         """Exact shortest-path distance; None when disconnected."""
@@ -119,15 +117,15 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
         when the graph has no cycle.  Each search from one end of an arc
         stops when the other end settles or can no longer beat the best."""
         scale = lcm(*(length.denominator for _, _, length in self.arcs))
-        arcs = [(u, v, int(length * scale)) for u, v, length in self.arcs]
-        adjacency, best = _adjacency(self.nodes, arcs), None
-        for u, v, length in arcs:
-            adjacency[u].remove((v, length))  # at v the arc leads only to u, settled at 0
-            for node, d in _settle(adjacency, u, 0):
+        darts, best = self.darts(scale), None
+        for i, (u, v, _) in enumerate(self.arcs):
+            k = bisect_left(darts[u], (i,))  # arc i's dart at u; at v it leads only to u, settled at 0
+            *_, length = dart = darts[u].pop(k)
+            for node, d in _settle(darts, u, 0):
                 if node == v or best is not None and d + length >= best:
                     best = _shorter(best, d + length)
                     break
-            adjacency[u].append((v, length))
+            darts[u].insert(k, dart)
         return None if best is None else Fraction(best, scale)
 
     def girth_exhaustive(self) -> Fraction | None:
@@ -139,7 +137,8 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
         arc just taken, and drops a path that can no longer beat the best.
         An arc back to the root closes a cycle, so a loop is a cycle of one
         arc and a parallel pair one of two; each is found from its least
-        node."""
+        node.  It builds its own table, not ``darts``, so that it shares no
+        code with ``girth``, which it checks."""
         scale = lcm(*(length.denominator for _, _, length in self.arcs))
         ends: dict[str, list[tuple[int, str, int]]] = {n: [] for n in self.nodes}
         for i, (u, v, length) in enumerate(self.arcs):
@@ -177,7 +176,7 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
         away, so the next node to go is the next eligible one by name.  The
         merged arc goes last; each node lists its arcs by creation."""
         arcs = [tuple(arc) for arc in self.arcs]
-        inc = {n: [i for i, _ in ends] for n, ends in self.incidence().items()}
+        inc = {n: [i for i, *_ in ends] for n, ends in self.darts().items()}
         for n in sorted(self.nodes):
             ends = inc[n]
             if len(ends) == 2 and ends[0] != ends[1]:
@@ -194,7 +193,7 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
 
     def is_bipartite(self) -> bool:
         """Whether the nodes 2-colour across every arc; a loop never does."""
-        incidence = self.incidence()
+        darts = self.darts()
         color: dict[str, int] = {}
         for start in self.nodes:
             if start in color:
@@ -203,8 +202,7 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
             frontier = [start]
             while frontier:
                 node = frontier.pop()
-                for i, end in incidence[node]:
-                    other = self.arcs[i][1 - end]
+                for _, _, other, _ in darts[node]:
                     if other == node:
                         return False
                     if other not in color:

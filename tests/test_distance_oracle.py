@@ -1,5 +1,5 @@
 """Differential tests of the metric-graph distance kernel, of girth,
-of bipartiteness and of smoothing.
+of bipartiteness, of smoothing and of the dart table ``MetricGraph.darts``.
 
 Random small metric graphs, with loops, parallel arcs, disconnected
 parts, mixed denominators and lengths near 10^9, are checked against a
@@ -23,7 +23,7 @@ from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from braidcat.fixtures import GRAPH_NAMES, graph_fixture  # noqa: E402
-from braidcat.metric_graph import MetricGraph, _adjacency, _settle  # noqa: E402
+from braidcat.metric_graph import MetricGraph, _settle  # noqa: E402
 
 F = Fraction
 
@@ -68,6 +68,26 @@ def floyd_warshall(nodes, arcs):
 
 
 @given(metric_graphs())
+@example(LONG_CYCLE)
+@example(APART_TRIANGLE)
+def test_darts_list_each_arc_end_in_arc_order(g):
+    """Arc i = (u, v, l) is (i, 0, v, l) at u and (i, 1, u, l) at v, and
+    nothing else is listed; a scale of L gives the integers l*L."""
+    darts = g.darts()
+    for i, (u, v, length) in enumerate(g.arcs):
+        assert darts[u].count((i, 0, v, length)) == darts[v].count((i, 1, u, length)) == 1
+    assert sum(len(ends) for ends in darts.values()) == 2 * len(g.arcs)
+    for ends in darts.values():
+        keys = [dart[:2] for dart in ends]
+        assert keys == sorted(set(keys))
+    assert g.degrees() == {n: len(ends) for n, ends in darts.items()}
+    scale = lcm(*(length.denominator for _, _, length in g.arcs))
+    scaled = g.darts(scale)
+    assert all(type(dart[3]) is int for ends in scaled.values() for dart in ends)
+    assert scaled == {n: [(*d[:3], d[3] * scale) for d in ends] for n, ends in darts.items()}
+
+
+@given(metric_graphs())
 @example(LONG_ARC)
 def test_distances_from_matches_floyd_warshall(g):
     table = floyd_warshall(g.nodes, g.arcs)
@@ -80,15 +100,15 @@ def test_distances_from_matches_floyd_warshall(g):
 @example(LONG_CYCLE)
 def test_distance_without_an_arc_matches_floyd_warshall(g):
     """The loop as girth runs it: integer lengths in units of 1/L, one
-    adjacency, and the arc taken out of the list of the end the search
-    starts from.  Nodes settle in order of distance."""
+    dart table, and arc i's own dart taken out of the list of the end the
+    search starts from.  Nodes settle in order of distance."""
     scale = lcm(*(length.denominator for _, _, length in g.arcs))
-    arcs = [(u, v, int(length * scale)) for u, v, length in g.arcs]
-    adjacency = _adjacency(g.nodes, arcs)
-    for i, (u, v, length) in enumerate(arcs):
-        adjacency[u].remove((v, length))
-        settled = list(_settle(adjacency, u, 0))
-        adjacency[u].append((v, length))
+    darts = g.darts(scale)
+    for i, (u, v, _) in enumerate(g.arcs):
+        k = [dart[:2] for dart in darts[u]].index((i, 0))
+        dart = darts[u].pop(k)
+        settled = list(_settle(darts, u, 0))
+        darts[u].insert(k, dart)
         assert [d for _, d in settled] == sorted(d for _, d in settled)
         table = floyd_warshall(g.nodes, g.arcs[:i] + g.arcs[i + 1 :])
         reachable = {w: d for w, d in table[u].items() if d is not None}
@@ -225,7 +245,7 @@ def test_smooth_keeps_the_metric(g):
     assert smooth.girth() == smooth.girth_exhaustive() == g.girth()
     assert sum(a[2] for a in smooth.arcs) == sum(a[2] for a in g.arcs)
     # no node is left on exactly two distinct arcs
-    assert all(len(ends) != 2 or ends[0][0] == ends[1][0] for ends in smooth.incidence().values())
+    assert all(len(ends) != 2 or ends[0][0] == ends[1][0] for ends in smooth.darts().values())
 
 
 def reference_smooth(g):

@@ -118,7 +118,7 @@ def unit_cycle(size):
     ids=["cubic-320", "cycle-1200"],
 )
 def test_girth_of_a_large_graph(graph, girth, seconds):
-    """One adjacency, integer lengths and searches that stop early.  A
+    """One dart table, integer lengths and searches that stop early.  A
     Fraction search over a rebuilt adjacency for every arc took, on one
     Intel Xeon core, 2.1-2.5 s of CPU on the cubic graph and 5.2 s on
     the cycle, against about 0.01 s and 0.65-1.05 s here."""
@@ -213,7 +213,7 @@ def test_bipartite():
 
 @pytest.mark.parametrize("size, bipartite", [(5000, True), (5001, False)])
 def test_bipartite_long_cycle(size, bipartite):
-    """The search reads one incidence table.  A scan of every arc for each
+    """The search reads one dart table.  A scan of every arc for each
     node is quadratic: on one Intel Xeon core it took about 1.5 s of CPU
     on these cycles, against a few ms for the table."""
     nodes = tuple(f"v{i}" for i in range(size))
