@@ -8,10 +8,10 @@ parallel arcs, which vertex links of small complexes genuinely produce.
 The girth here is the length of a shortest closed loop that never
 backtracks (reverses along the arc it just used).  Such a loop always
 contains an embedded cycle of no greater length, so two independent
-computations are provided: one deletes each arc in turn and asks for a
-shortest path between its endpoints, the other enumerates embedded
-cycles outright, on a stack of its own, so a long cycle needs no
-recursion.  They must agree, and the test suite insists on it.
+computations are provided: one deletes the arcs for good in arc order,
+asking after each for a shortest path between its ends; the other lists
+embedded cycles outright, on a stack of its own, so a long cycle needs
+no recursion.  They must agree, and the test suite insists on it.
 
 Each node's arc ends, with the other end and the length, come from one
 table, ``MetricGraph.darts``.  One Dijkstra loop, ``_settle``, walks it
@@ -23,7 +23,6 @@ the benchmark's memory bound (see ROADMAP).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
 from math import lcm
@@ -36,11 +35,6 @@ __all__ = [
 ]
 
 Arc = tuple[str, str, Fraction]
-
-
-def _shorter(best: int | None, length: int) -> int:
-    """The lesser of a cycle length and the best so far (None: no cycle yet)."""
-    return length if best is None or length < best else best
 
 
 def _settle(darts: dict, source: str, zero):
@@ -113,19 +107,24 @@ class MetricGraph(namedtuple("MetricGraph", "nodes arcs")):
         return self.distances_from(source).get(target)
 
     def girth(self) -> Fraction | None:
-        """Shortest embedded cycle, via deletion of each arc in turn; None
-        when the graph has no cycle.  Each search from one end of an arc
-        stops when the other end settles or can no longer beat the best."""
+        """Shortest embedded cycle; None when the graph has no cycle.
+
+        Deletes the arcs for good in arc order, so arc i's darts lead u's
+        and v's lists, and after each deletion searches from u until v
+        settles or nothing can beat the best.  Each candidate, a shortest
+        u-v path plus arc i, is an embedded cycle, and a shortest cycle is
+        found at its first arc, while all its other arcs are still there."""
         scale = lcm(*(length.denominator for _, _, length in self.arcs))
         darts, best = self.darts(scale), None
-        for i, (u, v, _) in enumerate(self.arcs):
-            k = bisect_left(darts[u], (i,))  # arc i's dart at u; at v it leads only to u, settled at 0
-            *_, length = dart = darts[u].pop(k)
+        for u, v, _ in self.arcs:
+            *_, length = darts[u].pop(0)
+            darts[v].pop(0)
             for node, d in _settle(darts, u, 0):
-                if node == v or best is not None and d + length >= best:
-                    best = _shorter(best, d + length)
+                if best is not None and d + length >= best:
                     break
-            darts[u].insert(k, dart)
+                if node == v:
+                    best = d + length
+                    break
         return None if best is None else Fraction(best, scale)
 
     def girth_exhaustive(self) -> Fraction | None:

@@ -202,10 +202,11 @@ def test_audit_work_is_pinned(monkeypatch):
     # each search makes the rows of the nodes it places, source + target: identity 8 + 8,
     # wing 2 + 12, main 8 + 12; and link:smooth reads one distance
     assert calls["table row"] == (8 + 8) + (2 + 12) + (8 + 12) + 1
-    # girth searches once per arc of x1bar-link (27), ybar1-link (9) and brady-link (12);
-    # searches to the end would settle 27 * 18 + 9 * 8 + 12 * 8 = 654 nodes
+    # girth searches once per arc of x1bar-link (27), ybar1-link (9) and brady-link (12),
+    # each with that arc and every earlier one deleted for good, so the graph it walks
+    # shrinks as the searches go on
     assert calls["girth search"] == 27 + 9 + 12
-    assert calls["girth settled"] == 651
+    assert calls["girth settled"] == 249
     assert len(searches) == 3
     assert not any(kwargs.get("with_trace") for kwargs in searches)
     witness = {r.ident: r for r in report.results}["embed:distance-obstruction"].witness
