@@ -421,7 +421,11 @@ def _cmd_embed(args) -> Result:
             emb.to_json_dict(source, target) for emb in outcome.certificates
         ]
     if args.trace is not None:
-        Path(args.trace).write_text(json.dumps(outcome.trace, indent=1) + "\n")
+        try:  # the encoder recurses about twice per level of the search tree
+            trace = json.dumps(outcome.trace, indent=1)
+        except RecursionError:
+            raise CliError("the trace is too deep to write as JSON; run without --trace") from None
+        Path(args.trace).write_text(trace + "\n")
         payload["trace_file"] = args.trace
     if outcome.found:
         text = (
@@ -691,9 +695,6 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except RecursionError:
-        limit = sys.getrecursionlimit()
-        print(f"error: input too deep to search; the recursion limit is {limit}", file=sys.stderr)
     return 2
 
 

@@ -30,7 +30,9 @@ host a source node, images already used are unavailable, and distances
 can only shrink under the map, never grow.  A failed routing is a
 ``length-mismatch`` when no embedded path of the right length joins the
 two images at all, and an ``injectivity-clash`` when every such path
-crosses an arc or a node already in use.
+crosses an arc or a node already in use.  Each step is a generator that
+yields the next one and undoes its change when resumed; ``run`` drives
+them from one list, so a search's depth costs no recursion.
 
 Routes: the embedded target paths for a (start, goal, length) key are
 enumerated once per search, in dart order and ignoring what is in use,
@@ -308,7 +310,6 @@ class _Search:
         # (scaled source, target distance) -> [count, u, t, w, f(w) of the first]
         self.distance_stats: dict[tuple, list] = {}
         self.nodes_explored = 0
-        self.stop = False
 
     def _scaled(self, length: Fraction) -> int:
         return length.numerator * (self.scale // length.denominator)
@@ -329,7 +330,13 @@ class _Search:
         root = None
         if self.with_trace:
             root = {"decision": {"kind": "root", "root_candidates": list(self.root_candidates)}}
-        self._assign(0, root)
+        stack = [self._assign(0, root)]
+        while stack and not (self.certificates and self.mode == "first"):
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(child)
         distance_prunes = {}
         for count, *first in self.distance_stats.values():
             prune = self._assignment_detail("distance", *first)
@@ -354,7 +361,7 @@ class _Search:
         u, v, _ = self.src.arcs[arc_index]
         return {"source_arc": [u, v], "length": self._format(self.src_length[arc_index])}
 
-    def _assign(self, k: int, parent: dict | None) -> None:
+    def _assign(self, k: int, parent: dict | None):
         if k == len(self.node_order):
             certificate = Embedding(
                 node_images=tuple(sorted(self.images.items())),
@@ -363,8 +370,6 @@ class _Search:
             self.certificates.append(certificate)
             if parent is not None:
                 parent["complete"] = True
-            if self.mode == "first":
-                self.stop = True
             return
         u = self.node_order[k]
         candidates = self.root_candidates if k == 0 else self.candidates
@@ -383,11 +388,9 @@ class _Search:
             self.occupied.add(t)
             self._row(self.src_rows, self.src, u)
             self._row(self.tgt_rows, self.tgt, t)
-            self._route_ready(self.ready[k], 0, k, node)
+            yield self._route_ready(self.ready[k], 0, k, node)
             del self.images[u]
             self.occupied.remove(t)
-            if self.stop:
-                return
 
     def _assignment_prune(self, u: str, t: str) -> tuple[str | None, str | None]:
         """Why t cannot host u, or None, and for a distance prune (which it
@@ -418,9 +421,9 @@ class _Search:
             detail.update(source_degree=self.src_degree[u], target_degree=self.tgt_degree[t])
         return detail
 
-    def _route_ready(self, ready: list[int], i: int, k: int, parent: dict | None) -> None:
+    def _route_ready(self, ready: list[int], i: int, k: int, parent: dict | None):
         if i == len(ready):
-            self._assign(k + 1, parent)
+            yield self._assign(k + 1, parent)
             return
         arc_index = ready[i]
         u, v, _ = self.src.arcs[arc_index]
@@ -444,12 +447,10 @@ class _Search:
             self.routes[arc_index] = darts
             used_arcs |= arcs
             occupied |= inner
-            self._route_ready(ready, i + 1, k, node)
+            yield self._route_ready(ready, i + 1, k, node)
             occupied -= inner
             used_arcs -= arcs
             del self.routes[arc_index]
-            if self.stop:
-                return
         if not routed:
             self.nodes_explored += 1
             reason = "injectivity-clash" if paths else "length-mismatch"

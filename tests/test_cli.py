@@ -351,13 +351,13 @@ def unit_paths(ends, count, length):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("search", ["girth", "embed", "prism"])
+@pytest.mark.parametrize("search", ["girth", "embed", "prism", "prism-trace"])
 def test_input_deeper_than_the_recursion_limit(tmp_path, capsys, search):
-    # The girth enumeration and the route enumeration keep their own
-    # stacks, so a 60-node cycle and a 60-arc route of a theta graph into
-    # its subdivision get answers.  The search still recurses once per
-    # source node and source arc: a prism of 20 nodes and 30 arcs into
-    # itself reaches the backstop.
+    # The girth enumeration, the route enumeration and the search keep
+    # their own stacks, so a 60-node cycle, a 60-arc route of a theta graph
+    # into its subdivision and a prism of 20 nodes and 30 arcs into itself
+    # get answers.  The JSON encoder recurses per level of the search tree,
+    # so the prism's trace is refused before any file is opened.
     theta, target = tmp_path / "theta.txt", tmp_path / "target.txt"
     theta.write_text("node P\nnode Q\n" + "arc P Q 60/1\n" * 3)
     target.write_text(unit_paths(["P", "Q"], 3, 60))
@@ -375,7 +375,10 @@ def test_input_deeper_than_the_recursion_limit(tmp_path, capsys, search):
         "girth": ("graph", "girth", str(cycle), "--both"),
         "embed": ("embed", "--source", str(theta), "--target", str(target), "--mode", "first"),
         "prism": ("embed", "--source", str(prism), "--target", str(prism), "--mode", "first"),
-    }[search]
+    }[search.removesuffix("-trace")]
+    trace = tmp_path / "trace.json"
+    if search == "prism-trace":
+        argv += ("--trace", str(trace))
     limit, low = sys.getrecursionlimit(), len(inspect.stack(0)) + 40
     sys.setrecursionlimit(low)
     try:
@@ -386,9 +389,11 @@ def test_input_deeper_than_the_recursion_limit(tmp_path, capsys, search):
         assert (code, out, err) == (0, "girth 60/1 pi, enumeration agrees: yes\n", "")
     elif search == "embed":
         assert (code, out, err) == (0, "1 embedding(s) found (all verified), 6 search nodes\n", "")
+    elif search == "prism":
+        assert (code, out, err) == (0, "1 embedding(s) found (all verified), 240 search nodes\n", "")
     else:
-        assert code == 2 and out == ""
-        assert err == f"error: input too deep to search; the recursion limit is {low}\n"
+        assert code == 2 and out == "" and not trace.exists()
+        assert err == "error: the trace is too deep to write as JSON; run without --trace\n"
 
 
 def test_no_cycle_and_no_path_render_as_null(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import inspect
 import os
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -331,6 +333,38 @@ def test_routes_longer_than_the_recursion_limit():
     assert out.found
     assert all(ok for _, ok in verify_embedding(src, tgt, out.certificates[0]))
     assert time.process_time() - start < 2.0
+
+
+def prism(rungs):
+    """Two cycles of unit arcs joined by rungs: a cubic graph whose search
+    places every node and routes every arc along one branch."""
+    nodes = [f"{side}{i}" for i in range(rungs) for side in "ab"]
+    arcs = []
+    for i in range(rungs):
+        j = (i + 1) % rungs
+        arcs += [(f"a{i}", f"a{j}", F(1)), (f"b{i}", f"b{j}", F(1)), (f"a{i}", f"b{i}", F(1))]
+    return MetricGraph(tuple(nodes), tuple(arcs))
+
+
+@pytest.mark.parametrize("mode", ["first", "all"])
+@pytest.mark.parametrize("with_trace", [False, True])
+def test_search_deeper_than_the_recursion_limit(mode, with_trace):
+    """The search keeps its steps on one list, so 20 nodes and 30 arcs
+    find the same outcome under a limit of 40 frames above the caller's
+    stack as under the default.  A deep trace's == and repr recurse, so
+    the outcomes are compared after the limit is restored."""
+    g = prism(10)
+    expected = find_embeddings(g, g, mode=mode, with_trace=with_trace)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        out = find_embeddings(g, g, mode=mode, with_trace=with_trace)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == expected
+    if mode == "all":
+        assert (len(out.certificates), out.nodes_explored) == (40, 88080)
+        assert out.prunes == {"target-node-used": 31380, "distance": 47640}
 
 
 def test_route_enumeration_is_linear_in_route_length():
