@@ -12,24 +12,26 @@ the end.  Running both and comparing counts is cheap insurance against
 bookkeeping slips.
 
 The table is stored by column, one list per column indexed by coset.
-Each relator, subgroup word and Felsch rotation is compiled once per
+Each relator, subgroup word and Felsch base is compiled once per
 enumeration into the column lists of its letters and of their
-inverses, so a scan step is one list lookup.  Before scanning a relator
-at a coset, both strategies trace it forwards: a trace that closes back
-at the coset means the scan would change nothing, so it is skipped; any
-other outcome runs the scan from the start.  Only Felsch reads the
-deduction stack, so HLT clears it at every coset instead of keeping a
-record of every entry it ever filled.
+inverses, so a scan step is one list lookup.  A Felsch base is compiled
+written twice over, and each of its rotations is a window on that one
+copy: a first and a last index.  Before scanning a relator at a coset,
+HLT traces it forwards: a trace that closes back at the coset means the
+scan would change nothing, so it is skipped; any other outcome runs the
+scan from the start.  Felsch leaves closed cycles to the scan.  Only
+Felsch reads the deduction stack, so HLT clears it at every coset
+instead of keeping a record of every entry it ever filled.
 
 A Felsch deduction (alpha, x) scans only the relator rotations that
 start with x at alpha.  Holt also scans those that start with x^-1 at
 alpha x, but the rotations include every relator's inverse and a scan
 walks both ways, so each of those walks the same relator cycle through
 the same table edge again.  A relator that is a power u^m has only
-len(u) distinct rotations, so only those are built.  Neither strategy
-scans at a coset once a coincidence has killed it: its entries are
-stale, and a deduction read from them would tie live cosets to dead
-ones.
+len(u) distinct rotations, and it gets only that many windows.
+Neither strategy scans at a coset once a coincidence has killed it:
+its entries are stale, and a deduction read from them would tie live
+cosets to dead ones.
 
 :func:`verify_table` re-checks any completed table from scratch.  It
 shares no code with the enumeration table: it inverts each generator's
@@ -98,9 +100,9 @@ class _Overflow(Exception):
     pass
 
 
-# A relator compiled against one table: its columns, and the column lists
-# of its letters and of their inverses.
-_Relator = tuple[Sequence[int], list[list[int | None]], list[list[int | None]]]
+# A relator compiled against one table: its columns, the column lists of its
+# letters and of their inverses, and the first and last index a scan walks.
+_Relator = tuple[Sequence[int], list[list[int | None]], list[list[int | None]], int, int]
 
 
 class _Table:
@@ -124,9 +126,10 @@ class _Table:
         self.deductions: list[tuple[int, int]] = []
 
     def compile(self, word: Sequence[int]) -> _Relator:
-        """A word with the column lists of its letters and of their inverses."""
+        """A word, its letters' column lists and their inverses', and the
+        window over all of it."""
         cols = self.cols
-        return word, [cols[c] for c in word], [cols[c ^ 1] for c in word]
+        return word, [cols[c] for c in word], [cols[c ^ 1] for c in word], 0, len(word) - 1
 
     def rep(self, k: int) -> int:
         root = k
@@ -178,16 +181,15 @@ class _Table:
                     self.deductions.append((mu, c))
 
     def scan(self, alpha: int, relator: _Relator, fill: bool) -> None:
-        """Trace a relator from alpha forwards and backwards.
+        """Trace a relator's window from alpha forwards and backwards.
 
         A gap of one is closed as a deduction; with ``fill`` a longer
         gap is filled by defining new cosets, without it the scan just
         gives up.  A completed scan with mismatched ends triggers
         coincidence processing.
         """
-        word, fwd, bwd = relator
-        f, i = alpha, 0
-        b, j = alpha, len(word) - 1
+        word, fwd, bwd, i, j = relator
+        f = b = alpha
         while True:
             while i <= j and (g := fwd[i][f]) is not None:
                 f = g
@@ -217,21 +219,25 @@ def _word_cols(word: Word, alphabet: Alphabet) -> list[int]:
     return [2 * alphabet.index(name) + (0 if sign > 0 else 1) for name, sign in word.letters]
 
 
-def _rotations_by_first(relators: list[list[int]], ncols: int) -> list[list[tuple[int, ...]]]:
+def _rotations_by_first(table: _Table, relators: list[list[int]]) -> list[list[_Relator]]:
     """Every distinct rotation of every relator and its inverse, grouped
-    by first column.  A base repeats its rotations after its cyclic
-    period, the least shift at which it recurs in itself twice over, so
-    only that many are built: one for a^L, not L."""
-    grouped: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
+    by first column, as windows on the base compiled once twice over.
+    A base repeats its rotations after its cyclic period, the least shift
+    at which it recurs in itself twice over, so it has that many windows:
+    one for a^L, not L.  Two bases share all of their rotations or none,
+    so a base whose least rotation was seen before adds nothing."""
+    grouped: list[list[_Relator]] = [[] for _ in table.cols]
     seen = set()
     for rel in relators:
         for base in (rel, [c ^ 1 for c in reversed(rel)]):
             text = "".join(map(chr, base))
-            for k in range((text + text).find(text, 1)):
-                rot = (*base[k:], *base[:k])
-                if rot not in seen:
-                    seen.add(rot)
-                    grouped[rot[0]].append(rot)
+            period = (text + text).find(text, 1)
+            least = min(text[k:] + text[:k] for k in range(period))
+            if least not in seen:
+                seen.add(least)
+                word, fwd, bwd, _, _ = table.compile(base * 2)
+                for k in range(period):
+                    grouped[base[k]].append((word, fwd, bwd, k, k + len(base) - 1))
     return grouped
 
 
@@ -257,8 +263,7 @@ def enumerate_cosets(
         if strategy == "hlt":
             _run_hlt(table, [table.compile(r) for r in relators], subgens)
         else:
-            grouped = _rotations_by_first(relators, len(table.cols))
-            _run_felsch(table, [[table.compile(r) for r in rots] for rots in grouped], subgens)
+            _run_felsch(table, _rotations_by_first(table, relators), subgens)
     except _Overflow:
         return OverflowResult(cap=cap, defined=table.defined, strategy=strategy)
 
@@ -289,8 +294,9 @@ def _run_hlt(table: _Table, relators: list[_Relator], subgens: list[_Relator]) -
         deductions.clear()  # HLT reads none of them
         if p[alpha] == alpha:
             for rel in relators:
-                # the forward trace, written out here and in Felsch: a
-                # function call per trace would cost what the skip saves
+                # the forward trace, inline: without it HLT takes about
+                # 15% longer.  A window cannot be walked by a list
+                # iterator without a copy, so Felsch leaves the skip to scan.
                 f = alpha
                 for col in rel[1]:
                     if (f := col[f]) is None:
@@ -316,13 +322,6 @@ def _run_felsch(table: _Table, grouped: list[list[_Relator]], subgens: list[_Rel
             alpha, c = deductions.pop()
             alpha = rep(alpha)
             for rel in grouped[c]:
-                f = alpha
-                for col in rel[1]:
-                    if (f := col[f]) is None:
-                        break
-                else:
-                    if f == alpha:  # a closed cycle: the scan would change nothing
-                        continue
                 scan(alpha, rel, False)
                 if p[alpha] != alpha:
                     break

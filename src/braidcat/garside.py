@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .words import Word
+from .words import Word, parse, substitute
 
 __all__ = [
     "GENERATOR_NAMES",
@@ -41,7 +41,6 @@ __all__ = [
     "is_central",
     "conjugation_orbit",
     "presentation_equalities",
-    "check_presentation",
     "presentation_differences",
 ]
 
@@ -253,8 +252,6 @@ def presentation_differences(e: Word, f: Word, d: Word) -> list[tuple[str, Norma
     pairs of disjoint chords commute (ca=ac, ef=fe), and each of the
     four triangles of chords gives two equalities.  Here a, b, c are
     the elementary crossings and d, e, f the supplied words."""
-    from .words import parse, substitute
-
     images = {
         "a": parse("a"),
         "b": parse("b"),
@@ -269,8 +266,3 @@ def presentation_differences(e: Word, f: Word, d: Word) -> list[tuple[str, Norma
         right = substitute(parse(rhs), images)
         results.append((label, difference(left, right)))
     return results
-
-
-def check_presentation(e: Word, f: Word, d: Word) -> list[tuple[str, bool]]:
-    """One (label, holds) pair per equality of :func:`presentation_differences`."""
-    return [(label, nf.is_identity) for label, nf in presentation_differences(e, f, d)]

@@ -1,6 +1,8 @@
 """Words for Garside normal forms, for the tests: the Burau oracle and
 the normal-form property tests turn a normal form back into a word in
-a, b, c and compare it with the word it came from."""
+a, b, c and compare it with the word it came from.  Only the tests
+read the presentation's normal forms as a pass or a fail for each
+equality, so that reading lives here too."""
 
 import itertools
 
@@ -10,6 +12,7 @@ from braidcat.garside import (
     GENERATOR_PERMS,
     IDENTITY,
     compose,
+    presentation_differences,
     starting_set,
 )
 from braidcat.words import Word
@@ -46,3 +49,8 @@ def flip_word(word):
     """The image of a word under conjugation by the half twist: a <-> c."""
     swap = {"a": "c", "b": "b", "c": "a"}
     return Word(tuple((swap[name], sign) for name, sign in word.letters))
+
+
+def check_presentation(e, f, d):
+    """One (label, holds) pair per equality of ``presentation_differences``."""
+    return [(label, nf.is_identity) for label, nf in presentation_differences(e, f, d)]

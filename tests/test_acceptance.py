@@ -27,7 +27,7 @@ from braidcat.audit import run_audit
 from braidcat.complexes import X1BAR_SYMMETRY, is_edge_automorphism, vertex_link, x1bar
 from braidcat.cosets import Enumeration, enumerate_cosets, verify_table
 from braidcat.embed import find_embeddings, verify_embedding
-from braidcat.garside import NormalForm, check_presentation, conjugation_orbit, equals, is_central, normal_form
+from braidcat.garside import NormalForm, conjugation_orbit, equals, is_central, normal_form
 from braidcat.metric_graph import MetricGraph, brady_link
 from braidcat.reps import (
     IDENTITY_2X2,
@@ -43,6 +43,7 @@ from braidcat.reps import (
     strand_assignment,
 )
 from braidcat.words import ALPHABET_ST, parse
+from garside_words import check_presentation
 
 W = fixtures.WORDS
 THIRD = Fraction(1, 3)

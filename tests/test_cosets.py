@@ -12,6 +12,9 @@ from braidcat.cosets import (
     Enumeration,
     OverflowResult,
     Presentation,
+    _rotations_by_first,
+    _Table,
+    _word_cols,
     enumerate_cosets,
     verify_table,
 )
@@ -259,11 +262,42 @@ def test_felsch_builds_a_periodic_relator_up_to_its_period():
     assert time.process_time() - start < 2.0
 
 
+def test_felsch_memory_is_linear_in_relator_length():
+    # Felsch once copied and compiled every rotation of a^499 b on its own,
+    # which peaked at 12.5 MB under tracemalloc.  Not timed: tracemalloc
+    # slows the scan.
+    pres = presentation("a b/a^499 b/b^2")
+    sub = [parse("a", pres.alphabet), parse("b", pres.alphabet)]
+    tracemalloc.start()
+    try:
+        res = enumerate_cosets(pres, sub, strategy="felsch")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.count == 1
+    assert peak < 2_000_000
+
+
 # -- both strategies against test-only references, and a coset differential --
 
 
 class _Full(Exception):
     pass
+
+
+def reference_rotations(presentation):
+    """Every distinct rotation of every relator and its inverse, as lists
+    of columns grouped by first column, in the order they are first met."""
+    names = presentation.alphabet.names
+    rotations = [[] for _ in range(2 * len(names))]
+    for r in presentation.relators:
+        rel = [2 * names.index(name) + (sign < 0) for name, sign in r.letters]
+        for base in (rel, [c ^ 1 for c in reversed(rel)]):
+            for k in range(len(base)):
+                rot = base[k:] + base[:k]
+                if rot not in rotations[rot[0]]:
+                    rotations[rot[0]].append(rot)
+    return rotations
 
 
 def reference_felsch(presentation, subgroup, cap=100_000):
@@ -283,13 +317,7 @@ def reference_felsch(presentation, subgroup, cap=100_000):
     def cols(word):
         return [2 * names.index(name) + (sign < 0) for name, sign in word.letters]
 
-    rotations = [[] for _ in range(ncols)]
-    for rel in (cols(r) for r in presentation.relators if len(r)):
-        for base in (rel, [c ^ 1 for c in reversed(rel)]):
-            for k in range(len(base)):
-                rot = base[k:] + base[:k]
-                if rot not in rotations[rot[0]]:
-                    rotations[rot[0]].append(rot)
+    rotations = reference_rotations(presentation)
     rows, parent, stack, made = [[None] * ncols], [0], [], [1]
 
     def find(k):
@@ -606,3 +634,32 @@ def test_felsch_equals_the_reference_on_coxeter_parabolics():
 def test_felsch_equals_the_reference_on_the_fixture_subgroups():
     for build, sub in fixtures.SUBGROUPS.values():
         check_strategies(build(), sub)
+
+
+def felsch_rotations(pres):
+    """The rotations Felsch scans, grouped by first column, each read back
+    from its window as a list of columns."""
+    table = _Table(len(pres.alphabet.names), cap=1)
+    relators = [_word_cols(r, pres.alphabet) for r in pres.relators if len(r)]
+    grouped = _rotations_by_first(table, relators)
+    return [[list(word[i : j + 1]) for word, _, _, i, j in rots] for rots in grouped]
+
+
+# Relators that are rotations, inverses or rotated inverses of one another,
+# and the fixture presentations.
+@pytest.mark.parametrize(
+    "case",
+    [
+        "a b/a b A B/b A B a",
+        "a b/a B/b A",
+        "a b/a b a b a b/b a b a b a",
+        "a b c/a b c/c a b/C B A",
+        *fixtures.SUBGROUPS,
+    ],
+)
+def test_felsch_scans_each_distinct_rotation_once(case):
+    if case in fixtures.SUBGROUPS:
+        pres = fixtures.SUBGROUPS[case][0]()
+    else:
+        pres = presentation(case)
+    assert felsch_rotations(pres) == reference_rotations(pres)

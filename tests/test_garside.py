@@ -11,7 +11,6 @@ from braidcat.garside import (
     DELTA,
     SIMPLES,
     NormalForm,
-    check_presentation,
     compose,
     conjugation_orbit,
     equals,
@@ -22,7 +21,14 @@ from braidcat.garside import (
     starting_set,
 )
 from braidcat.words import Word, parse
-from garside_words import delta_word, flip_word, inversions, simple_word, to_word
+from garside_words import (
+    check_presentation,
+    delta_word,
+    flip_word,
+    inversions,
+    simple_word,
+    to_word,
+)
 
 try:
     from hypothesis import example, given
