@@ -33,7 +33,14 @@ from fractions import Fraction
 
 from . import fixtures
 from .complexes import X1BAR_SYMMETRY, is_edge_automorphism
-from .cosets import Enumeration, OverflowResult, Presentation, enumerate_cosets, verify_table
+from .cosets import (
+    DEFAULT_CAP,
+    Enumeration,
+    OverflowResult,
+    Presentation,
+    enumerate_cosets,
+    verify_table,
+)
 from .embed import certificates_total, find_embeddings, verify_embedding
 from .garside import (
     NormalForm,
@@ -834,7 +841,7 @@ def check_identifiers(only: list[str] | None = None) -> list[str]:
 
 
 def run_audit(
-    only: list[str] | None = None, cap: int = 100_000, convention: str = "left"
+    only: list[str] | None = None, cap: int = DEFAULT_CAP, convention: str = "left"
 ) -> AuditReport:
     """Run the checks ``check_identifiers(only)`` selects, in order.
 

@@ -32,7 +32,7 @@ from .audit import (
     strand_claims,
 )
 from .complexes import TriComplex, vertex_link
-from .cosets import Enumeration, Presentation, enumerate_cosets
+from .cosets import DEFAULT_CAP, Enumeration, Presentation, enumerate_cosets
 from .embed import find_embeddings
 from .garside import conjugation_orbit, difference, normal_form
 from .metric_graph import MetricGraph, format_length
@@ -239,31 +239,24 @@ def _cmd_verify_index(args) -> Result:
 
     payload: dict = {"subgroup": [str(w) for w in subgroup]}
     lines = []
-    overflow = False
-    counts = set()
     for strategy, (result, verified) in runs.items():
         if isinstance(result, Enumeration):
-            entry = result.to_json_dict()
-            entry["verified"] = verified
-            payload[strategy] = entry
-            counts.add(result.count)
+            payload[strategy] = {**result.to_json_dict(), "verified": verified}
             lines.append(
                 f"{strategy}: index {result.count}, defined {result.defined}, "
                 f"table {'verified' if verified else 'BROKEN'}"
             )
         else:
-            overflow = True
             payload[strategy] = {"overflow_cap": result.cap}
             lines.append(f"{strategy}: inconclusive, cap {result.cap} hit")
-    if len(runs) == 2 and not overflow:
-        agree = len(counts) == 1
-        payload["agree"] = agree
-        lines.append(f"strategies agree: {'yes' if agree else 'NO'}")
-    if len(runs) == 1 and not overflow:
-        only = payload[strategies[0]]
-        payload.update({"count": only["count"], "action": only["action"]})
-    if overflow:
+    if not all(isinstance(result, Enumeration) for result, _ in runs.values()):
         return payload, "\n".join(lines), 2
+    counts = {result.count for result, _ in runs.values()}
+    if len(runs) == 2:
+        payload["agree"] = len(counts) == 1
+        lines.append(f"strategies agree: {'yes' if payload['agree'] else 'NO'}")
+    else:
+        payload.update({key: payload[strategies[0]][key] for key in ("count", "action")})
     ok = all(verified for _, verified in runs.values()) and len(counts) == 1
     return payload, "\n".join(lines), 0 if ok else 1
 
@@ -481,7 +474,7 @@ def _cmd_export(args) -> Result:
         return _complex_json(cx), None, 0
     if name in fixtures.SUBGROUPS:
         factory, subgroup = fixtures.SUBGROUPS[name]
-        result = enumerate_cosets(factory(), subgroup, strategy="hlt", cap=100_000)
+        result = enumerate_cosets(factory(), subgroup, strategy="hlt")
         if not isinstance(result, Enumeration):
             raise CliError(f"enumeration for {name!r} hit the cap")
         if fmt == "text":
@@ -573,7 +566,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--group", help="g0, sl2, or a presentation file")
         p.add_argument("--subgroup", help="comma-separated generator words")
         p.add_argument("--strategy", choices=("hlt", "felsch", "both"), default="both")
-        p.add_argument("--cap", type=_positive_int, default=100_000, help="max cosets defined")
+        p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help="max cosets defined")
         _handled_by(p, _cmd_verify_index)
 
         p = vsub.add_parser("pi", help="the matrix homomorphism kills the relators")
@@ -649,7 +642,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         help="check identifiers or prefixes (default: everything)",
     )
     p.add_argument("--list", action="store_true", help="list the selected identifiers and exit")
-    p.add_argument("--cap", type=_positive_int, default=100_000)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument(
         "--convention",
         choices=("left", "right"),

@@ -14,14 +14,17 @@ bookkeeping slips.
 The table is stored by column, one list per column indexed by coset.
 Each relator, subgroup word and Felsch base is compiled once per
 enumeration into the column lists of its letters and of their
-inverses, so a scan step is one list lookup.  A Felsch base is compiled
-written twice over, and each of its rotations is a window on that one
-copy: a first and a last index.  Before scanning a relator at a coset,
-HLT traces it forwards: a trace that closes back at the coset means the
-scan would change nothing, so it is skipped; any other outcome runs the
-scan from the start.  Felsch leaves closed cycles to the scan.  Only
-Felsch reads the deduction stack, so HLT clears it at every coset
-instead of keeping a record of every entry it ever filled.
+inverses, so a scan step is one list lookup, and a scan tests whether
+it completed in one place.  A Felsch base is compiled written twice
+over, and each of its rotations is a window on that one copy: a first
+and a last index.  :func:`enumerate_cosets` scans the subgroup words at
+coset 0 for both strategies, so the runners scan relators only.  Before
+scanning a relator at a coset, HLT traces it forwards: a trace that
+closes back at the coset means the scan would change nothing, so it is
+skipped; any other outcome runs the scan from the start.  Felsch leaves
+closed cycles to the scan.  Only Felsch reads the deduction stack, so
+HLT clears it at every coset instead of keeping a record of every
+entry it ever filled.
 
 A Felsch deduction (alpha, x) scans only the relator rotations that
 start with x at alpha.  Holt also scans those that start with x^-1 at
@@ -49,6 +52,8 @@ from collections import deque, namedtuple
 from collections.abc import Sequence
 
 from .words import Alphabet, Letter, Word
+
+DEFAULT_CAP = 100_000  # the cosets an enumeration may define unless told otherwise
 
 __all__ = [
     "Presentation",
@@ -186,7 +191,9 @@ class _Table:
         A gap of one is closed as a deduction; with ``fill`` a longer
         gap is filled by defining new cosets, without it the scan just
         gives up.  A completed scan with mismatched ends triggers
-        coincidence processing.
+        coincidence processing, tested in one place: a forward walk that
+        uses up the window falls through the backward loop to it.  The
+        subgroup words are scanned at coset 0 by :func:`enumerate_cosets`.
         """
         word, fwd, bwd, i, j = relator
         f = b = alpha
@@ -194,10 +201,6 @@ class _Table:
             while i <= j and (g := fwd[i][f]) is not None:
                 f = g
                 i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
             while j >= i and (g := bwd[j][b]) is not None:
                 b = g
                 j -= 1
@@ -245,7 +248,7 @@ def enumerate_cosets(
     presentation: Presentation,
     subgroup: list[Word],
     strategy: str = "hlt",
-    cap: int = 100_000,
+    cap: int = DEFAULT_CAP,
 ) -> Enumeration | OverflowResult:
     """Enumerate cosets of the subgroup generated by the given words.
 
@@ -257,13 +260,13 @@ def enumerate_cosets(
     alphabet = presentation.alphabet
     table = _Table(len(alphabet.names), cap)
     relators = [_word_cols(r, alphabet) for r in presentation.relators if len(r)]
-    subgens = [table.compile(_word_cols(w, alphabet)) for w in subgroup if len(w)]
-
     try:
+        for w in filter(len, subgroup):  # for both strategies
+            table.scan(0, table.compile(_word_cols(w, alphabet)), True)
         if strategy == "hlt":
-            _run_hlt(table, [table.compile(r) for r in relators], subgens)
+            _run_hlt(table, [table.compile(r) for r in relators])
         else:
-            _run_felsch(table, _rotations_by_first(table, relators), subgens)
+            _run_felsch(table, _rotations_by_first(table, relators))
     except _Overflow:
         return OverflowResult(cap=cap, defined=table.defined, strategy=strategy)
 
@@ -285,10 +288,8 @@ def enumerate_cosets(
     return Enumeration(count=len(live), action=action, defined=table.defined, strategy=strategy)
 
 
-def _run_hlt(table: _Table, relators: list[_Relator], subgens: list[_Relator]) -> None:
+def _run_hlt(table: _Table, relators: list[_Relator]) -> None:
     cols, p, scan, deductions = table.cols, table.p, table.scan, table.deductions
-    for w in subgens:
-        scan(0, w, True)
     alpha = 0
     while alpha < len(p):
         deductions.clear()  # HLT reads none of them
@@ -314,7 +315,7 @@ def _run_hlt(table: _Table, relators: list[_Relator], subgens: list[_Relator]) -
         alpha += 1
 
 
-def _run_felsch(table: _Table, grouped: list[list[_Relator]], subgens: list[_Relator]) -> None:
+def _run_felsch(table: _Table, grouped: list[list[_Relator]]) -> None:
     cols, p, rep, scan, deductions = table.cols, table.p, table.rep, table.scan, table.deductions
 
     def process_deductions() -> None:
@@ -326,8 +327,6 @@ def _run_felsch(table: _Table, grouped: list[list[_Relator]], subgens: list[_Rel
                 if p[alpha] != alpha:
                     break
 
-    for w in subgens:
-        scan(0, w, True)
     process_deductions()
     alpha = 0
     while alpha < len(p):

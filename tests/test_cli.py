@@ -1,5 +1,6 @@
 """The command line surface: parsing, exit codes, JSON payloads, exports."""
 
+import argparse
 import hashlib
 import inspect
 import json
@@ -667,6 +668,99 @@ def test_bad_output_is_refused_before_any_work(capsys, tmp_path, monkeypatch, ar
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {refused}\n")
     assert [path.name for path in tmp_path.rglob("*")] == ["out"]
+
+
+# The argv sweep: every leaf subcommand of build_parser(), with no
+# arguments, with an unknown name, and with each flag given one valid and
+# each invalid value after a valid argv.  Every enumeration has finite
+# index, and all but the bare `audit`'s run under `--cap 1000`.
+SWEEP_ARGV = {  # leaf: (a valid argv, one naming a fixture or file that does not exist)
+    "garside nf": (("a",), ("nope",)),
+    "garside eq": (("a", "a"), ("nope", "a")),
+    "garside orbit": (("x", "a"), ("nope", "a")),
+    "garside audit-presentation": ((), ("nope",)),
+    "verify index": (
+        ("--group", "g0", "--subgroup", "x y x^-2,y", "--cap", "1000"),
+        ("--fixture", "nope", "--cap", "1000"),
+    ),
+    "verify pi": ((), ("nope",)),
+    "verify perm": ((), ("nope",)),
+    "complex build": (("x1bar",), ("nope",)),
+    "complex link": (("x1bar",), ("nope",)),
+    "complex cat0": (("x1bar",), ("nope",)),
+    "graph girth": (("brady-link",), ("nope",)),
+    "graph dist": (("brady-link", "v1", "v2"), ("nope", "v1", "v2")),
+    "embed": (
+        ("--source", "brady-link", "--target", "brady-link"),
+        ("--source", "nope", "--target", "brady-link"),
+    ),
+    "audit": (("index:four", "--cap", "1000"), ("nope",)),
+    "export": (("brady-link",), ("nope",)),
+}
+SWEEP_VALUES = {  # flag: (a valid value, *invalid values)
+    "--cap": ("1000", "0", "x"),
+    "--max-steps": ("16", "0", "x"),
+    "--strategy": ("hlt", "bogus"),
+    "--format": ("json", "bogus"),
+    "--convention": ("right", "bogus"),
+    "--mode": ("first", "bogus"),
+    "--vertex": ("o", "nope"),
+    "--fixture": ("index-four", "nope"),
+    "--group": ("g0", "nope"),
+    "--subgroup": ("x y x^-2,y", "q"),
+    "--source": ("brady-link", "nope"),
+    "--target": ("brady-link", "nope"),
+    "--json": ("r.json", ""),
+    "--out": ("r.json", ""),
+    "--trace": ("t.json", ""),
+}
+OUTPUT_FLAGS = ("--json", "--out", "--trace")
+
+
+def leaf_parsers(parser, path=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_parsers(sub, path + (name,))
+            return
+    yield path, parser
+
+
+def sweep_argvs():
+    for path, leaf in leaf_parsers(cli.build_parser()):
+        argv, unknown = SWEEP_ARGV[" ".join(path)]
+        yield path
+        yield path + unknown
+        for action in leaf._actions:
+            for flag in action.option_strings[-1:]:
+                if action.nargs == 0:
+                    yield from (path + argv + (flag,), path + argv + (flag + "=x",))
+                else:
+                    yield from (path + argv + (flag, value) for value in SWEEP_VALUES[flag])
+
+
+def test_argv_sweep(capsys, tmp_path, monkeypatch):
+    """Each run exits 0, 1 or 2 without a traceback, an exit 2 says why in
+    exactly one ``error:`` line, and no file appears but the ones named."""
+    argvs, failures = list(sweep_argvs()), []
+    for k, argv in enumerate(argvs):
+        scratch = tmp_path / str(k)
+        scratch.mkdir()
+        monkeypatch.chdir(scratch)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's own refusals, and --help
+            code = exc.code
+        except Exception as exc:
+            code = repr(exc)
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        named = {argv[i + 1] for i, word in enumerate(argv[:-1]) if word in OUTPUT_FLAGS}
+        written = {path.name for path in scratch.rglob("*")}
+        if code not in (0, 1, 2) or (code == 2 and len(errors) != 1) or not written <= named:
+            failures.append((argv, code, errors, written))
+    assert {" ".join(path) for path, _ in leaf_parsers(cli.build_parser())} == set(SWEEP_ARGV)
+    assert not failures
 
 
 def test_embed_symmetry_needs_a_compatible_target(capsys, tmp_path):
