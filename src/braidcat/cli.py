@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -414,11 +415,23 @@ def _cmd_embed(args) -> Result:
             emb.to_json_dict(source, target) for emb in outcome.certificates
         ]
     if args.trace is not None:
-        try:  # the encoder recurses about twice per level of the search tree
-            trace = json.dumps(outcome.trace, indent=1)
-        except RecursionError:
+        import tempfile  # here, so that no other command pays for the import
+
+        # streamed into a file beside the target, which replaces it once whole
+        out = tempfile.NamedTemporaryFile("w", dir=Path(args.trace).parent, delete=False)
+        try:
+            with out:  # the encoder recurses about twice per level of the search tree
+                json.dump(outcome.trace, out, indent=1)
+                out.write("\n")
+        except BaseException as exc:
+            os.remove(out.name)
+            if not isinstance(exc, RecursionError):
+                raise
             raise CliError("the trace is too deep to write as JSON; run without --trace") from None
-        Path(args.trace).write_text(trace + "\n")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(out.name, 0o666 & ~umask)  # the mode a plain write would give
+        os.replace(out.name, args.trace)
         payload["trace_file"] = args.trace
     if outcome.found:
         text = (

@@ -26,6 +26,11 @@ closed cycles to the scan.  Only Felsch reads the deduction stack, so
 HLT clears it at every coset instead of keeping a record of every
 entry it ever filled.
 
+A generator g with a relator g g or g^-1 g^-1 is an involution (Holt;
+Havas and Ramsay's ACE): g and g^-1 share one column list, so g g is
+never scanned and (ab)^3 and its inverse are one Felsch base.  Without
+such a relator nothing is shared, and the tables are as before.
+
 A Felsch deduction (alpha, x) scans only the relator rotations that
 start with x at alpha.  Holt also scans those that start with x^-1 at
 alpha x, but the rotations include every relator's inverse and a scan
@@ -115,16 +120,19 @@ class _Table:
 
     The table is kept by column: ``cols[c][k]`` is coset k times column
     c, or None while undefined.  Columns come in pairs: column 2i is
-    generator i, column 2i + 1 its inverse.  Column lists only ever grow,
-    so a compiled relator may hold them.  ``p`` is the coincidence
-    union-find array; a coset k is live iff p[k] == k, and p[k] <= k.
-    All traffic through dead cosets goes through :meth:`rep` first.
+    generator i, column 2i + 1 its inverse, and column c is the list of
+    column ``fold[c]``.  Column lists only ever grow, so a compiled
+    relator may hold them.  ``p`` is the coincidence union-find array; a
+    coset k is live iff p[k] == k, and p[k] <= k.  All traffic through
+    dead cosets goes through :meth:`rep` first.
     """
 
-    def __init__(self, n_gens: int, cap: int):
-        self.cols: list[list[int | None]] = [[None] for _ in range(2 * n_gens)]
-        # (c, column c, its inverse column), as coincidence processing walks them
-        self.pairs = [(c, col, self.cols[c ^ 1]) for c, col in enumerate(self.cols)]
+    def __init__(self, fold: list[int], cap: int):
+        self.fold = fold
+        lists = [[None] for _ in fold]
+        self.cols: list[list[int | None]] = [lists[f] for f in fold]
+        # (c, column c, its inverse column) for each distinct list, in order
+        self.pairs = [(c, self.cols[c], self.cols[c ^ 1]) for c, f in enumerate(fold) if f == c]
         self.p: list[int] = [0]
         self.defined = 1
         self.cap = cap
@@ -148,7 +156,7 @@ class _Table:
         if self.defined >= self.cap:
             raise _Overflow
         beta = len(self.p)
-        for column in self.cols:
+        for _, column, _ in self.pairs:
             column.append(None)
         self.p.append(beta)
         self.defined += 1
@@ -218,8 +226,15 @@ class _Table:
             self.define(f, word[i])
 
 
-def _word_cols(word: Word, alphabet: Alphabet) -> list[int]:
-    return [2 * alphabet.index(name) + (0 if sign > 0 else 1) for name, sign in word.letters]
+def _fold(presentation: Presentation) -> list[int]:
+    """For each column, the column whose list it uses: 2g for both of an involution g's."""
+    names, relators = presentation.alphabet.names, presentation.relators
+    squares = {r.letters[0][0] for r in relators if len(r) == 2 and r.letters[0] == r.letters[1]}
+    return [c & ~1 if names[c // 2] in squares else c for c in range(2 * len(names))]
+
+
+def _word_cols(word: Word, alphabet: Alphabet, fold: list[int]) -> list[int]:
+    return [fold[2 * alphabet.index(name) + (sign < 0)] for name, sign in word.letters]
 
 
 def _rotations_by_first(table: _Table, relators: list[list[int]]) -> list[list[_Relator]]:
@@ -232,7 +247,7 @@ def _rotations_by_first(table: _Table, relators: list[list[int]]) -> list[list[_
     grouped: list[list[_Relator]] = [[] for _ in table.cols]
     seen = set()
     for rel in relators:
-        for base in (rel, [c ^ 1 for c in reversed(rel)]):
+        for base in (rel, [table.fold[c ^ 1] for c in reversed(rel)]):
             text = "".join(map(chr, base))
             period = (text + text).find(text, 1)
             least = min(text[k:] + text[:k] for k in range(period))
@@ -257,12 +272,14 @@ def enumerate_cosets(
     """
     if strategy not in ("hlt", "felsch"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    alphabet = presentation.alphabet
-    table = _Table(len(alphabet.names), cap)
-    relators = [_word_cols(r, alphabet) for r in presentation.relators if len(r)]
+    alphabet, fold = presentation.alphabet, _fold(presentation)
+    table = _Table(fold, cap)
+    # an empty relator, or an involution's c c, holds in every table
+    relators = [_word_cols(r, alphabet, fold) for r in presentation.relators]
+    relators = [r for r in relators if r != r[:1] * 2]
     try:
         for w in filter(len, subgroup):  # for both strategies
-            table.scan(0, table.compile(_word_cols(w, alphabet)), True)
+            table.scan(0, table.compile(_word_cols(w, alphabet, fold)), True)
         if strategy == "hlt":
             _run_hlt(table, [table.compile(r) for r in relators])
         else:
@@ -289,7 +306,7 @@ def enumerate_cosets(
 
 
 def _run_hlt(table: _Table, relators: list[_Relator]) -> None:
-    cols, p, scan, deductions = table.cols, table.p, table.scan, table.deductions
+    p, scan, deductions = table.p, table.scan, table.deductions
     alpha = 0
     while alpha < len(p):
         deductions.clear()  # HLT reads none of them
@@ -309,14 +326,14 @@ def _run_hlt(table: _Table, relators: list[_Relator]) -> None:
                 if p[alpha] != alpha:
                     break
             else:  # alpha outlived every scan
-                for c, col in enumerate(cols):
+                for c, col, _ in table.pairs:
                     if col[alpha] is None:
                         table.define(alpha, c)
         alpha += 1
 
 
 def _run_felsch(table: _Table, grouped: list[list[_Relator]]) -> None:
-    cols, p, rep, scan, deductions = table.cols, table.p, table.rep, table.scan, table.deductions
+    p, rep, scan, deductions = table.p, table.rep, table.scan, table.deductions
 
     def process_deductions() -> None:
         while deductions:
@@ -330,7 +347,7 @@ def _run_felsch(table: _Table, grouped: list[list[_Relator]]) -> None:
     process_deductions()
     alpha = 0
     while alpha < len(p):
-        for c, col in enumerate(cols):
+        for c, col, _ in table.pairs:
             if p[alpha] == alpha and col[alpha] is None:
                 table.define(alpha, c)
                 process_deductions()

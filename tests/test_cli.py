@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import os
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -358,7 +359,7 @@ def test_input_deeper_than_the_recursion_limit(tmp_path, capsys, search):
     # their own stacks, so a 60-node cycle, a 60-arc route of a theta graph
     # into its subdivision and a prism of 20 nodes and 30 arcs into itself
     # get answers.  The JSON encoder recurses per level of the search tree,
-    # so the prism's trace is refused before any file is opened.
+    # so the prism's trace is refused and leaves no file.
     theta, target = tmp_path / "theta.txt", tmp_path / "target.txt"
     theta.write_text("node P\nnode Q\n" + "arc P Q 60/1\n" * 3)
     target.write_text(unit_paths(["P", "Q"], 3, 60))
@@ -548,6 +549,27 @@ def test_embed_trace_file_is_pinned(capsys, tmp_path, case):
     assert nodes == want_nodes
     assert prunes == want_prunes
     assert complete == want_complete
+
+
+def test_embed_trace_is_written_whole_or_not_at_all(capsys, tmp_path, monkeypatch):
+    """The trace is streamed into a file beside the target and moved into
+    place: a refused trace leaves no file, and a written one has the mode
+    of a plain write."""
+    monkeypatch.chdir(tmp_path)
+    argv = ("embed", "--source", "brady-link", "--target", "x1bar-link", "--mode", "first")
+    assert run(capsys, *argv, "--trace", "t.json")[0] == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+    assert stat.S_IMODE((tmp_path / "t.json").stat().st_mode) == 0o666 & ~umask
+
+    def too_deep(*args, **kwargs):
+        raise RecursionError
+
+    monkeypatch.setattr(json, "dump", too_deep)
+    code, out, err = run(capsys, *argv, "--trace", "u.json")
+    assert (code, out) == (2, "") and err.startswith("error: the trace is too deep")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
 
 def test_embed_without_symmetry_triples_the_count(capsys):

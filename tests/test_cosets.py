@@ -12,13 +12,14 @@ from braidcat.cosets import (
     Enumeration,
     OverflowResult,
     Presentation,
+    _fold,
     _rotations_by_first,
     _Table,
     _word_cols,
     enumerate_cosets,
     verify_table,
 )
-from braidcat.words import ALPHABET_ST, ALPHABET_XY, Alphabet, parse
+from braidcat.words import ALPHABET_ST, ALPHABET_XY, Alphabet, Word, parse
 
 
 def g0():
@@ -285,14 +286,36 @@ class _Full(Exception):
     pass
 
 
+def reference_columns(presentation):
+    """The involution rule, apart from the kernel's: a generator g with a
+    relator g g or g^-1 g^-1 reads g^-1 in g's own column.  Returns the
+    word's columns, each column's inverse, the columns a row uses, and
+    the relators left to scan, without each involution's g g."""
+    names = presentation.alphabet.names
+    squares = [r for r in presentation.relators if len(r) == 2 and r.letters[0] == r.letters[1]]
+    involutions = {r.letters[0][0] for r in squares}
+
+    def cols(word):
+        return [
+            2 * names.index(name) + (sign < 0 and name not in involutions)
+            for name, sign in word.letters
+        ]
+
+    def inverse(col):
+        return col if names[col // 2] in involutions else col ^ 1
+
+    used = [col for col in range(2 * len(names)) if inverse(col) != col or col % 2 == 0]
+    relators = [cols(r) for r in presentation.relators if len(r) and r not in squares]
+    return cols, inverse, used, relators
+
+
 def reference_rotations(presentation):
     """Every distinct rotation of every relator and its inverse, as lists
     of columns grouped by first column, in the order they are first met."""
-    names = presentation.alphabet.names
-    rotations = [[] for _ in range(2 * len(names))]
-    for r in presentation.relators:
-        rel = [2 * names.index(name) + (sign < 0) for name, sign in r.letters]
-        for base in (rel, [c ^ 1 for c in reversed(rel)]):
+    _, inverse, _, relators = reference_columns(presentation)
+    rotations = [[] for _ in range(2 * len(presentation.alphabet.names))]
+    for rel in relators:
+        for base in (rel, [inverse(c) for c in reversed(rel)]):
             for k in range(len(base)):
                 rot = base[k:] + base[:k]
                 if rot not in rotations[rot[0]]:
@@ -313,10 +336,7 @@ def reference_felsch(presentation, subgroup, cap=100_000):
     """
     names = presentation.alphabet.names
     ncols = 2 * len(names)
-
-    def cols(word):
-        return [2 * names.index(name) + (sign < 0) for name, sign in word.letters]
-
+    cols, inverse, used, _ = reference_columns(presentation)
     rotations = reference_rotations(presentation)
     rows, parent, stack, made = [[None] * ncols], [0], [], [1]
 
@@ -332,7 +352,7 @@ def reference_felsch(presentation, subgroup, cap=100_000):
         rows.append([None] * ncols)
         parent.append(len(parent))
         rows[alpha][col] = len(rows) - 1
-        rows[-1][col ^ 1] = alpha
+        rows[-1][inverse(col)] = alpha
         stack.append((alpha, col))
 
     def union(k, l, queue):
@@ -350,14 +370,14 @@ def reference_felsch(presentation, subgroup, cap=100_000):
                 delta = rows[gamma][col]
                 if delta is None:
                     continue
-                rows[delta][col ^ 1] = None
+                rows[delta][inverse(col)] = None
                 mu, nu = find(gamma), find(delta)
                 if rows[mu][col] is not None:
                     union(nu, rows[mu][col], queue)
-                elif rows[nu][col ^ 1] is not None:
-                    union(mu, rows[nu][col ^ 1], queue)
+                elif rows[nu][inverse(col)] is not None:
+                    union(mu, rows[nu][inverse(col)], queue)
                 else:
-                    rows[mu][col], rows[nu][col ^ 1] = nu, mu
+                    rows[mu][col], rows[nu][inverse(col)] = nu, mu
                     stack.append((mu, col))
 
     def trace(alpha, word, fill):
@@ -367,12 +387,12 @@ def reference_felsch(presentation, subgroup, cap=100_000):
                 f, i = rows[f][word[i]], i + 1
             if i > j:
                 break
-            while j >= i and rows[b][word[j] ^ 1] is not None:
-                b, j = rows[b][word[j] ^ 1], j - 1
+            while j >= i and rows[b][inverse(word[j])] is not None:
+                b, j = rows[b][inverse(word[j])], j - 1
             if j < i:
                 break
             if j == i:
-                rows[f][word[i]], rows[b][word[i] ^ 1] = b, f
+                rows[f][word[i]], rows[b][inverse(word[i])] = b, f
                 stack.append((f, word[i]))
                 return
             if not fill:
@@ -391,7 +411,7 @@ def reference_felsch(presentation, subgroup, cap=100_000):
                 trace(alpha, rot, False)
             if parent[alpha] == alpha and rows[alpha][col] is not None:
                 beta = find(rows[alpha][col])
-                for rot in rotations[col ^ 1]:
+                for rot in rotations[inverse(col)]:
                     if parent[beta] != beta:
                         break
                     trace(beta, rot, False)
@@ -403,7 +423,7 @@ def reference_felsch(presentation, subgroup, cap=100_000):
         deduce()
         alpha = 0
         while alpha < len(rows):
-            for col in range(ncols):
+            for col in used:
                 if parent[alpha] == alpha and rows[alpha][col] is None:
                     new_coset(alpha, col)
                     deduce()
@@ -420,10 +440,14 @@ def reference_felsch(presentation, subgroup, cap=100_000):
 
 class _RowTable:
     """The row table that HLT ran on before the kernel moved onto columns,
-    kept as it was: ``tab[k][c]`` is coset k times column c."""
+    kept as it was but for the involution rule: ``tab[k][c]`` is coset k
+    times column c, and ``inverse(c)`` is the column of its inverse.  An
+    involution's second column is never written, so a walk over the
+    columns meets it empty."""
 
-    def __init__(self, n_gens, cap):
+    def __init__(self, n_gens, cap, inverse):
         self.ncols = 2 * n_gens
+        self.inverse = inverse
         self.tab = [[None] * self.ncols]
         self.p = [0]
         self.defined = 1
@@ -446,7 +470,7 @@ class _RowTable:
         self.p.append(beta)
         self.defined += 1
         self.tab[alpha][col] = beta
-        self.tab[beta][col ^ 1] = alpha
+        self.tab[beta][self.inverse(col)] = alpha
         self.deductions.append((alpha, col))
         return beta
 
@@ -466,15 +490,15 @@ class _RowTable:
                 delta = self.tab[gamma][col]
                 if delta is None:
                     continue
-                self.tab[delta][col ^ 1] = None
+                self.tab[delta][self.inverse(col)] = None
                 mu, nu = self.rep(gamma), self.rep(delta)
                 if self.tab[mu][col] is not None:
                     self._merge(nu, self.tab[mu][col], queue)
-                elif self.tab[nu][col ^ 1] is not None:
-                    self._merge(mu, self.tab[nu][col ^ 1], queue)
+                elif self.tab[nu][self.inverse(col)] is not None:
+                    self._merge(mu, self.tab[nu][self.inverse(col)], queue)
                 else:
                     self.tab[mu][col] = nu
-                    self.tab[nu][col ^ 1] = mu
+                    self.tab[nu][self.inverse(col)] = mu
                     self.deductions.append((mu, col))
 
     def scan(self, alpha, word, fill):
@@ -489,7 +513,7 @@ class _RowTable:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and (g := tab[b][word[j] ^ 1]) is not None:
+            while j >= i and (g := tab[b][self.inverse(word[j])]) is not None:
                 b = g
                 j -= 1
             if j < i:
@@ -498,7 +522,7 @@ class _RowTable:
                 return
             if j == i:
                 tab[f][word[i]] = b
-                tab[b][word[i] ^ 1] = f
+                tab[b][self.inverse(word[i])] = f
                 self.deductions.append((f, word[i]))
                 return
             if not fill:
@@ -512,12 +536,8 @@ def reference_hlt(presentation, subgroup, cap=100_000):
     how each step is looked up, not which steps are taken, so the
     kernel's tables must equal these exactly."""
     names = presentation.alphabet.names
-
-    def cols(word):
-        return [2 * names.index(name) + (sign < 0) for name, sign in word.letters]
-
-    table = _RowTable(len(names), cap)
-    relators = [cols(r) for r in presentation.relators if len(r)]
+    cols, inverse, used, relators = reference_columns(presentation)
+    table = _RowTable(len(names), cap, inverse)
     tab, p, scan = table.tab, table.p, table.scan
     try:
         for w in subgroup:
@@ -531,8 +551,8 @@ def reference_hlt(presentation, subgroup, cap=100_000):
                     if p[alpha] != alpha:
                         break
                 else:  # alpha outlived every scan
-                    for col, entry in enumerate(tab[alpha]):
-                        if entry is None:
+                    for col in used:
+                        if tab[alpha][col] is None:
                             table.define(alpha, col)
             alpha += 1
     except _Full:
@@ -631,6 +651,89 @@ def test_felsch_equals_the_reference_on_coxeter_parabolics():
         assert hlt.count == felsch.count == index
 
 
+def test_involutions_halve_hlt_on_s6():
+    # With a and a^-1 in one column, HLT no longer defines a coset for
+    # each of them at every coset: it defined 1,606 with a column apiece.
+    hlt, felsch = check_strategies(coxeter(6), [])
+    assert (hlt.count, hlt.defined, felsch.defined) == (720, 776, 720)
+
+
+def conjugated_squares(pres):
+    """The same group with each relator g g written as h g g h^-1, for h
+    the next generator: a form the involution rule does not recognise."""
+    names = pres.alphabet.names
+    relators = []
+    for r in pres.relators:
+        if len(r) == 2 and r.letters[0] == r.letters[1]:
+            h = Word(((names[(names.index(r.letters[0][0]) + 1) % len(names)], 1),))
+            r = h * r * h.inverse()
+            assert len(r) == 4
+        relators.append(r)
+    return pres._replace(relators=tuple(relators))
+
+
+def check_against_conjugated_squares(pres, sub, cap=100_000):
+    """Both strategies, with the involution rule and without it: counts
+    agree where both complete, and every completed table verifies."""
+    general = conjugated_squares(pres)
+    assert _fold(general) == list(range(2 * len(pres.alphabet.names)))
+    completed = 0
+    for strategy in ("hlt", "felsch"):
+        folded, plain = (
+            enumerate_cosets(p, sub, strategy=strategy, cap=cap) for p in (pres, general)
+        )
+        for table, p in ((folded, pres), (plain, general)):
+            if isinstance(table, Enumeration):
+                assert failed(verify_table(table, p, sub)) == []
+        if isinstance(folded, Enumeration) and isinstance(plain, Enumeration):
+            assert folded.count == plain.count
+            completed += 1
+    return completed
+
+
+def random_involutive_presentation(rng):
+    """A random presentation on two to four generators, at least one of
+    them an involution by a relator g g or g^-1 g^-1."""
+    names = "abcd"[: rng.randint(2, 4)]
+    alphabet = Alphabet(tuple(names))
+    squares = [f"{g}^2" if rng.random() < 0.5 else f"{g}^-2" for g in names if rng.random() < 0.6]
+    letters = names + names.upper()
+
+    def word(longest):
+        return parse(" ".join(rng.choices(letters, k=rng.randint(1, longest))), alphabet)
+
+    relators = [parse(r, alphabet) for r in squares or [f"{names[0]}^2"]]
+    relators += [word(8) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(relators)
+    return Presentation(alphabet, tuple(relators)), [word(4) for _ in range(rng.randint(0, 2))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_involutions_agree_with_the_general_path_on_random_presentations(seed):
+    rng = random.Random(100 + seed)
+    completed = 0
+    for _ in range(100):
+        pres, sub = random_involutive_presentation(rng)
+        check_strategies(pres, sub, cap=300)
+        completed += check_against_conjugated_squares(pres, sub, cap=300)
+    assert completed >= 100
+
+
+def test_involutions_agree_with_the_general_path_on_coxeter_parabolics():
+    for pres, sub, index in parabolics(120):
+        assert check_against_conjugated_squares(pres, sub) == 2
+
+
+def test_define_grows_each_shared_list_once():
+    # b is an involution, a is not: four columns, but three lists.
+    pres = presentation("a b/b b/a^3")
+    table = _Table(_fold(pres), cap=10)
+    assert table.cols[2] is table.cols[3]
+    for _ in range(3):
+        table.define(0, 0)
+    assert [len(col) for col in table.cols] == [4] * 4
+
+
 def test_felsch_equals_the_reference_on_the_fixture_subgroups():
     for build, sub in fixtures.SUBGROUPS.values():
         check_strategies(build(), sub)
@@ -639,14 +742,14 @@ def test_felsch_equals_the_reference_on_the_fixture_subgroups():
 def felsch_rotations(pres):
     """The rotations Felsch scans, grouped by first column, each read back
     from its window as a list of columns."""
-    table = _Table(len(pres.alphabet.names), cap=1)
-    relators = [_word_cols(r, pres.alphabet) for r in pres.relators if len(r)]
-    grouped = _rotations_by_first(table, relators)
+    fold = _fold(pres)
+    relators = [_word_cols(r, pres.alphabet, fold) for r in pres.relators]
+    grouped = _rotations_by_first(_Table(fold, cap=1), [r for r in relators if r != r[:1] * 2])
     return [[list(word[i : j + 1]) for word, _, _, i, j in rots] for rots in grouped]
 
 
 # Relators that are rotations, inverses or rotated inverses of one another,
-# and the fixture presentations.
+# with and without involutions, and the fixture presentations.
 @pytest.mark.parametrize(
     "case",
     [
@@ -654,6 +757,9 @@ def felsch_rotations(pres):
         "a b/a B/b A",
         "a b/a b a b a b/b a b a b a",
         "a b c/a b c/c a b/C B A",
+        "a b/a a/b b/a b a b a b",
+        "a b/a a/B B/a B a B a B",
+        "a b/A A/a b A B",
         *fixtures.SUBGROUPS,
     ],
 )

@@ -42,6 +42,8 @@ INPUTS = {
     "empty.txt": "# no generators\n",
     # cosets that collapse while Felsch is still scanning them
     "collapse.txt": "a b\nA\nA^3\nb^4\nb a\n",
+    # S4 in its Coxeter presentation: a, b and c are involutions
+    "coxeter.txt": "a b c\na^2\nb^2\nc^2\na b a b a b\na c a c\nb c b c b c\n",
     "cycle.txt": "node a\nnode b\narc a b 1000000000/1\narc a b 1/1\n",
     "path.txt": "node a\nnode b\nnode c\narc a b 1/1\n",
     "bad-graph.txt": "node a\narc a b 1/1\n",
