@@ -42,9 +42,11 @@ its entries are stale, and a deduction read from them would tie live
 cosets to dead ones.
 
 :func:`verify_table` re-checks any completed table from scratch.  It
-shares no code with the enumeration table: it inverts each generator's
-column once and traces every relator over all n cosets together, so
-it costs O(n * total relator length), linear in the size of the table.
+shares no code with the enumeration table: it inverts only the columns
+of letters used inverted, and traces every relator over all n cosets
+together, one whole-column gather (``operator.itemgetter``) per letter,
+so it costs O(n * total relator length), linear in the size of the
+table.  The final renumbering of live cosets gathers whole columns too.
 
 Cosets are numbered from 1 in results, with coset 1 the subgroup
 itself.  Enumeration is deterministic: no randomisation, fixed
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from collections.abc import Sequence
+from operator import itemgetter
 
 from .words import Alphabet, Letter, Word
 
@@ -296,12 +299,15 @@ def enumerate_cosets(
             number.append(len(live))
         else:
             number.append(number[table.rep(k)])
+    # Whole-column gathers.  itemgetter of one index returns the bare
+    # entry, and with one live coset every target's number is 1.
+    take = itemgetter(*live) if len(live) > 1 else lambda column: (column[0],)
     action = {}
     for g, name in enumerate(alphabet.names):
-        targets = [table.cols[2 * g][k] for k in live]
+        targets = take(table.cols[2 * g])
         if None in targets:
             raise RuntimeError("closed table has an empty entry")
-        action[name] = tuple([number[t] for t in targets])
+        action[name] = itemgetter(*targets)(number) if len(live) > 1 else (1,)
     return Enumeration(count=len(live), action=action, defined=table.defined, strategy=strategy)
 
 
@@ -354,26 +360,17 @@ def _run_felsch(table: _Table, grouped: list[list[_Relator]]) -> None:
         alpha += 1
 
 
-def _columns(action: dict[str, tuple[int, ...]]) -> dict[Letter, tuple[int, ...]]:
-    """Every generator's column and its inverse's, keyed by letter and
-    padded with a 0 in front, so that ``columns[name, sign][i]`` is the
-    coset i g^sign.  Each column must be a bijection of 1..n."""
-    columns = {}
-    for name, images in action.items():
-        inverse = [0] * (len(images) + 1)
-        for i, image in enumerate(images, 1):
-            inverse[image] = i
-        columns[name, 1] = (0, *images)
-        columns[name, -1] = tuple(inverse)
-    return columns
-
-
-def _trace(columns: dict[Letter, tuple[int, ...]], word: Word, cosets: list[int]) -> list[int]:
-    """The images of many cosets under a word, one letter at a time."""
+def _trace(
+    columns: dict[Letter, tuple[int, ...]], word: Word, cosets: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The images of many cosets under a word, one whole-column gather per letter."""
     current = cosets
     for letter in word.letters:
-        images = columns[letter]
-        current = [images[k] for k in current]
+        column = columns[letter]
+        if len(current) > 1:
+            current = itemgetter(*current)(column)
+        else:  # itemgetter of one index returns the bare image, not a tuple
+            current = tuple([column[k] for k in current])
     return current
 
 
@@ -385,32 +382,51 @@ def verify_table(
     relator acting trivially at every coset, the subgroup generators
     fixing coset 1, and the action transitive.
 
-    Nothing here touches :class:`_Table`.  Each inverse column is built
-    once and each relator is traced over all n cosets together, so the
-    cost is O(n * total relator length).  When a column is not a
-    bijection of 1..n no inverse exists, and the other three checks are
-    reported failed without being computed.
+    Nothing here touches :class:`_Table` or the runners.  A column is a
+    bijection of 1..n when it has n images and their set is {1..n}.
+    Each column is padded with a 0 in front, so that ``columns[name,
+    sign][i]`` is the coset i g^sign, and an inverse column is built
+    only for a letter that some relator or subgroup word uses inverted.
+    Each relator is traced over all n cosets together, one whole-column
+    gather per letter, so the cost is O(n * total relator length).
+    Transitivity walks the generators' own columns only: once each
+    column is a bijection of a finite set, each inverse is a power of
+    its generator, so the orbit of coset 1 is the same.  When a column
+    is not a bijection of 1..n no inverse exists, and the other three
+    checks are reported failed without being computed.
     """
     n = enum.count
-    cosets = list(range(1, n + 1))
+    cosets = tuple(range(1, n + 1))
     names = (
         "columns-bijective",
         "relators-fix-all-cosets",
         "subgroup-fixes-coset-1",
         "action-transitive",
     )
-    if not all(sorted(images) == cosets for images in enum.action.values()):
+    everything = set(cosets)
+    if not all(len(images) == n and set(images) == everything for images in enum.action.values()):
         return [(name, False) for name in names]
-    columns = _columns(enum.action)
+    inverted = {
+        name for w in (*presentation.relators, *subgroup) for name, sign in w.letters if sign < 0
+    }
+    columns = {}
+    for name, images in enum.action.items():
+        columns[name, 1] = (0, *images)
+        if name in inverted:
+            inverse = [0] * (n + 1)
+            for i, image in enumerate(images, 1):
+                inverse[image] = i
+            columns[name, -1] = tuple(inverse)
 
     relators_ok = all(_trace(columns, r, cosets) == cosets for r in presentation.relators)
-    subgroup_ok = all(_trace(columns, w, [1]) == [1] for w in subgroup)
+    subgroup_ok = all(_trace(columns, w, (1,)) == (1,) for w in subgroup)
 
+    generators = [columns[name, 1] for name in enum.action]
     seen = {1}
     frontier = [1]
     while frontier:
         k = frontier.pop()
-        for images in columns.values():
+        for images in generators:
             image = images[k]
             if image not in seen:
                 seen.add(image)

@@ -227,6 +227,17 @@ def test_verifier_rejects_a_disconnected_action():
     ]
 
 
+@pytest.mark.parametrize("change", ["one image too many", "one image too few"])
+def test_verifier_rejects_a_column_of_the_wrong_length(change):
+    # with_action would take the count from the changed column, so the
+    # count stays 4 here.  One image too many still has the set {1..4}.
+    table, sub = index_four()
+    x = table.action["x"]
+    x = x + x[:1] if change == "one image too many" else x[:-1]
+    wrong = table._replace(action={**table.action, "x": x})
+    assert failed(verify_table(wrong, g0(), sub)) == list(CHECKS)
+
+
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
 def test_s7_over_the_trivial_subgroup(strategy):
     # Index 5040: the verifier must stay linear in the table size, or
@@ -625,6 +636,90 @@ def test_coset_differential_on_random_presentations(seed):
     rng = random.Random(seed)
     for _ in range(100):
         check_strategies(*random_presentation(rng), cap=300)
+
+
+def reference_verify(enum, presentation, subgroup):
+    """The four verifier checks written naively, one coset at a time,
+    following both signs of every letter."""
+    n = enum.count
+    if not all(sorted(images) == list(range(1, n + 1)) for images in enum.action.values()):
+        return [(name, False) for name in CHECKS]
+    inverse = {
+        name: {image: k for k, image in enumerate(images, 1)}
+        for name, images in enum.action.items()
+    }
+
+    def act(k, name, sign):
+        return enum.action[name][k - 1] if sign > 0 else inverse[name][k]
+
+    def trace(k, word):
+        for name, sign in word.letters:
+            k = act(k, name, sign)
+        return k
+
+    relators = all(trace(k, r) == k for r in presentation.relators for k in range(1, n + 1))
+    fixed = all(trace(1, w) == 1 for w in subgroup)
+    reached, frontier = {1}, deque([1])
+    while frontier:
+        k = frontier.popleft()
+        for name in enum.action:
+            for sign in (1, -1):
+                if (image := act(k, name, sign)) not in reached:
+                    reached.add(image)
+                    frontier.append(image)
+    return list(zip(CHECKS, (True, relators, fixed, len(reached) == n)))
+
+
+def with_swapped_images(table, rng):
+    """The table with two images of one column swapped: still a bijection."""
+    name = rng.choice(sorted(table.action))
+    images = list(table.action[name])
+    i, j = rng.sample(range(len(images)), 2)
+    images[i], images[j] = images[j], images[i]
+    return table._replace(action={**table.action, name: tuple(images)})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verifier_equals_the_reference_on_random_presentations(seed):
+    # The presentations of test_coset_differential_on_random_presentations;
+    # each table is checked as it is and with two images swapped.
+    rng, swaps = random.Random(seed), random.Random(1000 + seed)
+    verdicts, index_one = set(), 0
+    for _ in range(100):
+        pres, sub = random_presentation(rng)
+        for strategy in ("hlt", "felsch"):
+            table = enumerate_cosets(pres, sub, strategy=strategy, cap=300)
+            if not isinstance(table, Enumeration):
+                continue
+            tables = [table]
+            if table.count > 1:
+                tables.append(with_swapped_images(table, swaps))
+            else:
+                index_one += 1
+            for t in tables:
+                checks = verify_table(t, pres, sub)
+                assert checks == reference_verify(t, pres, sub)
+                verdicts.add(tuple(failed(checks)))
+    assert index_one >= 50
+    assert {(), ("relators-fix-all-cosets",), ("action-transitive",)} <= verdicts
+
+
+def test_verifier_equals_the_reference_on_index_one_tables():
+    xy, st = ALPHABET_XY, ALPHABET_ST
+    cases = [
+        (g0(), [parse("x", xy), parse("y", xy)]),
+        (g0(), [parse("x y x^-2", xy), parse("x", xy)]),
+        (sl2(), [parse("S^2 T", st), parse("S^3 T", st)]),
+        (presentation("x/x"), []),
+        (presentation("a b/a/b"), [parse("a B a", Alphabet(("a", "b")))]),
+    ]
+    for pres, sub in cases:
+        table = enumerate_cosets(pres, sub)
+        assert table.count == 1
+        moved = table._replace(action={g: (2,) for g in table.action})
+        for t in (table, moved):
+            assert verify_table(t, pres, sub) == reference_verify(t, pres, sub)
+        assert failed(verify_table(table, pres, sub)) == []
 
 
 def parabolics(largest_index):
